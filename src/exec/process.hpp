@@ -143,6 +143,14 @@ class Process {
   virtual const CostModel& cost() const = 0;
   virtual const Topology& topology() const = 0;
 
+  /// Progress-annotation hook behind exec::note_progress (reliable.hpp):
+  /// a no-op unless the reliability envelope overrides it.  `what` must
+  /// have static storage duration; `item` < 0 means "no item".
+  virtual void set_progress_note(const char* what, index_t item) {
+    (void)what;
+    (void)item;
+  }
+
   /// Typed helper: send a span of trivially copyable values.
   template <typename T>
   void send_values(index_t dst, int tag, std::span<const T> values) {

@@ -96,6 +96,16 @@ ReliableConfig& ReliableConfig::from_env() {
   return *this;
 }
 
+std::string RankProgress::note() const {
+  if (note_what == nullptr) return {};
+  std::string out = note_what;
+  if (note_item >= 0) {
+    out += ' ';
+    out += std::to_string(note_item);
+  }
+  return out;
+}
+
 std::string ReliableStats::summary() const {
   std::ostringstream oss;
   oss << data_sends << " data send(s), " << retransmits << " retransmit(s), "
@@ -222,7 +232,9 @@ class ReliableBackend::ReliableProcess final : public Process {
           oss << "reliable envelope: rank " << rank_
               << " gave up waiting for " << prog_.last_wait << " after "
               << attempts << " retransmit request(s)";
-          if (!prog_.note.empty()) oss << " (progress: " << prog_.note << ")";
+          if (prog_.note_what != nullptr) {
+            oss << " (progress: " << prog_.note() << ")";
+          }
           throw TimeoutError(oss.str());
         }
         ++attempts;
@@ -236,7 +248,10 @@ class ReliableBackend::ReliableProcess final : public Process {
     }
   }
 
-  void set_note(std::string note) { prog_.note = std::move(note); }
+  void set_progress_note(const char* what, index_t item) override {
+    prog_.note_what = what;
+    prog_.note_item = item;
+  }
 
   /// Post-body termination protocol: announce FIN, linger servicing
   /// retransmit requests until every peer announced theirs (bounded).
@@ -408,7 +423,7 @@ std::string ReliableBackend::progress_report() const {
         << pr.dup_discarded << " dup(s) discarded, "
         << (pr.finished ? "finished" : "did not finish");
     if (!pr.last_wait.empty()) oss << ", blocked on " << pr.last_wait;
-    if (!pr.note.empty()) oss << ", at " << pr.note;
+    if (pr.note_what != nullptr) oss << ", at " << pr.note();
   }
   return oss.str();
 }
@@ -438,12 +453,6 @@ RunStats ReliableBackend::run(const std::function<void(Process&)>& spmd) {
     // the caller sees where every rank was, then let the solver turn it
     // into a structured SolveError.
     throw TimeoutError(std::string(e.what()) + "\n" + progress_report());
-  }
-}
-
-void note_progress(Process& proc, const std::string& note) {
-  if (auto* rp = dynamic_cast<ReliableBackend::ReliableProcess*>(&proc)) {
-    rp->set_note(note);
   }
 }
 

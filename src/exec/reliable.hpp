@@ -35,6 +35,7 @@
 // the paper-reproduction backends stay byte-identical to earlier PRs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -107,8 +108,14 @@ struct RankProgress {
   std::int64_t retransmits = 0;
   std::int64_t dup_discarded = 0;
   bool finished = false;     ///< SPMD body ran to completion
-  std::string note;          ///< last exec::note_progress() annotation
+  /// Last exec::note_progress() annotation, kept unformatted: the text
+  /// and item (-1 for none) it was called with.
+  const char* note_what = nullptr;
+  index_t note_item = -1;
   std::string last_wait;     ///< "src=.. tag=.." if the rank died waiting
+
+  /// The annotation as text ("fw supernode 12"); empty if none was made.
+  std::string note() const;
 };
 
 class ReliableBackend final : public Comm {
@@ -147,10 +154,18 @@ class ReliableBackend final : public Comm {
   std::mutex mutex_;
 };
 
-/// Attach a short progress annotation ("fw supernode 12", "panel 3/8") to
-/// the calling rank if it runs under the reliability envelope; a no-op on
-/// every other backend.  Solver code calls this so a timeout or crash
-/// report can say *where* each rank was.
-void note_progress(Process& proc, const std::string& note);
+/// Attach a short progress annotation to the calling rank if it runs
+/// under the reliability envelope; a no-op on every other backend.
+/// Solver code calls this so a timeout or crash report can say *where*
+/// each rank was: ("fw supernode", 12) renders as "fw supernode 12".  The
+/// pair is only stored; it is formatted when a report is built, so the
+/// per-supernode call allocates nothing.  `what` is stored as a pointer
+/// and read later, so it must be a string literal: taking it as an array
+/// reference makes a `std::string::c_str()` argument fail to compile.
+/// `item` < 0 renders `what` alone.
+template <std::size_t N>
+void note_progress(Process& proc, const char (&what)[N], index_t item = -1) {
+  proc.set_progress_note(what, item);
+}
 
 }  // namespace sparts::exec

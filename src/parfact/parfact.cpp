@@ -173,7 +173,7 @@ Report parallel_multifrontal(exec::Comm& machine,
     for (const index_t s : schedule) {
       const exec::Group g = map.group[static_cast<std::size_t>(s)];
       if (!g.contains(w)) continue;
-      exec::note_progress(proc, "fact supernode " + std::to_string(s));
+      exec::note_progress(proc, "fact supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fact.supernode",
                         static_cast<std::int64_t>(s),
                         static_cast<std::int64_t>(g.count));

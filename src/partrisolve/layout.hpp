@@ -42,13 +42,15 @@ struct Layout {
     return local_block * b + (pos - blk * b);
   }
 
-  /// Number of positions owned by rank r.
+  /// Number of positions owned by rank r: its ceil((nblocks - r) / q)
+  /// blocks r, r + q, ... of b rows, less the ragged tail if the last
+  /// block is among them.
   index_t local_count(index_t r) const {
-    index_t count = 0;
-    for (index_t blk = r; blk < num_blocks(); blk += q) {
-      count += block_end(blk) - block_begin(blk);
-    }
-    return count;
+    const index_t nb = num_blocks();
+    if (r >= nb) return 0;
+    const index_t owned = (nb - r + q - 1) / q;
+    const index_t tail = (nb - 1 - r) % q == 0 ? nb * b - ns : 0;
+    return owned * b - tail;
   }
 };
 

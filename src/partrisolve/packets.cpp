@@ -14,6 +14,7 @@ exec::Payload pack_rhs(const RhsPacket& p, index_t m) {
                     sizeof(real_t) * p.values.size());
   std::size_t off = 0;
   auto put = [&](const void* src, std::size_t len) {
+    if (len == 0) return;  // empty vectors may hand out a null data()
     std::memcpy(out.data() + off, src, len);
     off += len;
   };
@@ -28,6 +29,7 @@ RhsPacket unpack_rhs(std::span<const std::byte> bytes, index_t m) {
   std::size_t off = 0;
   auto get = [&](void* dst, std::size_t len) {
     SPARTS_CHECK(off + len <= bytes.size(), "truncated RHS packet");
+    if (len == 0) return;
     std::memcpy(dst, bytes.data() + off, len);
     off += len;
   };

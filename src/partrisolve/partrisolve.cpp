@@ -1,8 +1,6 @@
 #include "partrisolve/partrisolve.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
 #include "common/checks.hpp"
 #include "common/error.hpp"
@@ -32,98 +30,162 @@ namespace {
 int tag_fw_contrib(index_t s) { return static_cast<int>(4 * s + 0); }
 int tag_bw_copy(index_t s) { return static_cast<int>(4 * s + 2); }
 
-/// Per-rank working storage: supernode id -> packed local RHS fragment.
-using BufferMap = std::unordered_map<index_t, std::vector<real_t>>;
-
 }  // namespace
 
-DistributedTrisolver::DistributedTrisolver(
-    const numeric::SupernodalFactor& factor, const mapping::SubcubeMapping& map,
-    Options options)
-    : DistributedTrisolver(factor, nullptr, map, options) {}
+namespace detail {
 
-DistributedTrisolver::DistributedTrisolver(
-    const numeric::SupernodalFactor& factor,
-    const DistributedFactor* local_values, const mapping::SubcubeMapping& map,
-    Options options)
-    : factor_(factor), local_values_(local_values), map_(map),
-      options_(options) {
-  if (local_values_ != nullptr) {
-    SPARTS_CHECK(local_values_->block_size() == options_.block_size,
-                 "DistributedFactor block size must match solver options");
-  }
-  SPARTS_CHECK(options_.block_size >= 1);
-  const auto& part = factor_.partition();
-  SPARTS_VALIDATE_CHEAP(map_.check_consistent(part));
-  // Expensive: the 1-D block-cyclic ownership of every shared supernode's
-  // trapezoid must partition its positions (the solver's routing tables
-  // are derived from exactly this arithmetic).
-  if (checks_at_least(CheckLevel::expensive)) {
-    for (index_t s = 0; s < part.num_supernodes(); ++s) {
-      const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
-      if (g.count == 1) continue;
-      mapping::validate_block_cyclic(
-          mapping::BlockCyclic1d{options_.block_size, g.count},
-          part.height(s));
-    }
-  }
-  children_ = ordering::tree_children(part.stree);
+/// Rows one rank sends to one peer across a child/parent edge.
+struct Packet {
+  index_t peer = -1;               ///< destination world rank
+  std::vector<index_t> positions;  ///< positions in the receiver's rows
+  std::vector<index_t> local;      ///< sender's packed local offsets
+};
 
-  const index_t nsup = part.num_supernodes();
-  routing_.resize(static_cast<std::size_t>(nsup));
-  const index_t b = options_.block_size;
-  block_base_.resize(static_cast<std::size_t>(nsup));
-  index_t next_block = 0;
-  for (index_t s = 0; s < nsup; ++s) {
-    block_base_[static_cast<std::size_t>(s)] = next_block;
-    next_block += (part.width(s) + b - 1) / b;
-  }
-  for (index_t s = 0; s < nsup; ++s) {
-    const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-    if (parent == -1) continue;
-    const auto rows = part.row_indices(s);
-    const auto prows = part.row_indices(parent);
-    const index_t t = part.width(s);
-    const index_t below = part.height(s) - t;
-    const Layout child_layout{map_.group[static_cast<std::size_t>(s)].count, b,
-                              part.height(s), t};
-    const Layout parent_layout{
-        map_.group[static_cast<std::size_t>(parent)].count, b,
-        part.height(parent), part.width(parent)};
+/// A child supernode the backward sweep sends rows down to.
+struct ChildLink {
+  index_t child = -1;           ///< supernode id (message tag)
+  index_t step = -1;            ///< the child's step on this rank when rows
+                                ///< are copied locally, else -1
+  std::vector<Packet> packets;  ///< remote rows, ascending peer
+};
 
-    ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
-    cr.parent_pos.resize(static_cast<std::size_t>(below));
-    for (index_t k = 0; k < below; ++k) {
-      const index_t row = rows[static_cast<std::size_t>(t + k)];
-      const auto it = std::lower_bound(prows.begin(), prows.end(), row);
-      SPARTS_CHECK(it != prows.end() && *it == row,
-                   "child row " << row << " missing from parent structure");
-      cr.parent_pos[static_cast<std::size_t>(k)] =
-          static_cast<index_t>(it - prows.begin());
-    }
-    const index_t cbase = map_.group[static_cast<std::size_t>(s)].base;
-    const index_t pbase = map_.group[static_cast<std::size_t>(parent)].base;
-    for (index_t k = 0; k < below; ++k) {
-      const index_t src = cbase + child_layout.owner_of(t + k);
-      const index_t dst =
-          pbase +
-          parent_layout.owner_of(cr.parent_pos[static_cast<std::size_t>(k)]);
-      if (src != dst) cr.pairs.emplace_back(src, dst);
-    }
-    std::sort(cr.pairs.begin(), cr.pairs.end());
-    cr.pairs.erase(std::unique(cr.pairs.begin(), cr.pairs.end()),
-                   cr.pairs.end());
-  }
-}
+/// One rank's share of one supernode: everything a sweep needs that
+/// depends only on the factor structure, the mapping and the block size.
+struct Step {
+  index_t s = 0;
+  index_t r = 0;  ///< rank within s's group
+  Layout lay;
+  index_t nloc = 0;  ///< packed rows this rank holds
+  /// Factor view: the packed local block under strict storage (read at the
+  /// step, so a fused prologue may fill it first), else the shared block.
+  const PanelVector* panel = nullptr;
+  const real_t* shared = nullptr;
+  /// (packed local offset, global row) of the owned pivot rows.
+  std::vector<std::pair<index_t, index_t>> pivots;
+  /// Row offsets of the fragment in the rank's forward / backward
+  /// frontier scratch.
+  index_t fw_offset = 0;
+  index_t bw_offset = 0;
+  /// Forward: no local child hand-off touched the fragment before this
+  /// step, so the step zero-fills and gathers it itself.
+  bool fw_init = true;
+  /// Forward: this step's hand-off is the first touch of the parent's
+  /// fragment on this rank.
+  bool fw_init_parent = false;
+  /// The parent's step on this rank when rows hand off locally, else -1.
+  index_t parent_step = -1;
+  /// (my local offset, parent's local offset) of the below rows whose
+  /// child and parent owners are both this rank, ascending position.  The
+  /// forward sweep adds along it; the backward sweep copies back along it.
+  std::vector<std::pair<index_t, index_t>> handoff;
+  /// Forward: (source world rank, child) contributions to receive, in the
+  /// order they are consumed.
+  std::vector<std::pair<index_t, index_t>> fw_recv;
+  std::vector<Packet> fw_send;      ///< rows for remote parent owners
+  std::vector<index_t> bw_recv;     ///< parent ranks that send rows down
+  std::vector<ChildLink> children;  ///< backward sends, children order
+};
+
+struct RankPlan {
+  std::vector<Step> steps;  ///< forward order; backward walks it reversed
+  index_t frontier_rows = 0;  ///< scratch rows (times m) either sweep uses
+};
+
+}  // namespace detail
 
 namespace {
 
-/// Everything a phase's SPMD body needs, bundled to keep lambdas small.
+using detail::ChildLink;
+using detail::Packet;
+using detail::RankPlan;
+using detail::Step;
+
+/// Row ranges of one rank's frontier scratch, handed out in sweep order.
+/// First fit: a fragment takes the lowest free gap it fits in, else the
+/// top, so the scratch stays close to the sweep frontier's peak.
+class FrontierArena {
+ public:
+  /// Place a fragment of `rows` rows; returns its offset.
+  index_t place(index_t rows) {
+    if (rows == 0) return 0;
+    for (auto it = gaps_.begin(); it != gaps_.end(); ++it) {
+      if (it->rows < rows) continue;
+      const index_t at = it->offset;
+      it->offset += rows;
+      it->rows -= rows;
+      if (it->rows == 0) gaps_.erase(it);
+      return at;
+    }
+    const index_t at = top_;
+    top_ += rows;
+    peak_ = std::max(peak_, top_);
+    return at;
+  }
+  /// Free the fragment place() put at `offset`.
+  void release(index_t offset, index_t rows) {
+    if (rows == 0) return;
+    auto next = std::lower_bound(
+        gaps_.begin(), gaps_.end(), offset,
+        [](const Gap& g, index_t off) { return g.offset < off; });
+    const bool joins_prev =
+        next != gaps_.begin() && std::prev(next)->offset +
+                                         std::prev(next)->rows == offset;
+    const bool joins_next =
+        next != gaps_.end() && offset + rows == next->offset;
+    if (joins_prev && joins_next) {
+      std::prev(next)->rows += rows + next->rows;
+      gaps_.erase(next);
+    } else if (joins_prev) {
+      std::prev(next)->rows += rows;
+    } else if (joins_next) {
+      next->offset = offset;
+      next->rows += rows;
+    } else {
+      gaps_.insert(next, Gap{offset, rows});
+    }
+    if (!gaps_.empty() && gaps_.back().offset + gaps_.back().rows == top_) {
+      top_ = gaps_.back().offset;
+      gaps_.pop_back();
+    }
+  }
+  index_t peak() const { return peak_; }
+
+ private:
+  struct Gap {
+    index_t offset;
+    index_t rows;
+  };
+  std::vector<Gap> gaps_;  ///< free ranges below top_, ascending, coalesced
+  index_t top_ = 0;
+  index_t peak_ = 0;
+};
+
+/// Append the row of position `pos` (local offset `lo`) to the packet for
+/// `peer`, keeping one packet per peer.
+void add_to_packet(std::vector<Packet>& packets, index_t peer, index_t pos,
+                   index_t lo) {
+  auto it = std::find_if(packets.rbegin(), packets.rend(),
+                         [peer](const Packet& p) { return p.peer == peer; });
+  Packet* pk = nullptr;
+  if (it == packets.rend()) {
+    pk = &packets.emplace_back();
+    pk->peer = peer;
+  } else {
+    pk = &*it;
+  }
+  pk->positions.push_back(pos);
+  pk->local.push_back(lo);
+}
+
+void sort_by_peer(std::vector<Packet>& packets) {
+  std::sort(packets.begin(), packets.end(),
+            [](const Packet& a, const Packet& b) { return a.peer < b.peer; });
+}
+
+/// Everything a shared-supernode kernel needs, bundled to keep lambdas
+/// small.
 struct PhaseContext {
-  const numeric::SupernodalFactor& factor;
   const mapping::SubcubeMapping& map;
-  const Options& options;
-  const std::vector<std::vector<index_t>>& children;
   const std::vector<index_t>& block_base;  ///< global id of first pivot block
   index_t m;
 };
@@ -136,12 +198,6 @@ int tag_fw_token(const PhaseContext& ctx, index_t s, index_t k) {
 int tag_bw_token(const PhaseContext& ctx, index_t s, index_t k) {
   return static_cast<int>(
       4 * (ctx.block_base[static_cast<std::size_t>(s)] + k) + 3);
-}
-
-Layout layout_of(const PhaseContext& ctx, index_t s) {
-  const auto& part = ctx.factor.partition();
-  return Layout{ctx.map.group[static_cast<std::size_t>(s)].count,
-                ctx.options.block_size, part.height(s), part.width(s)};
 }
 
 /// View of one supernode's factor trapezoid as seen by one rank: either
@@ -273,6 +329,8 @@ void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
   const index_t m = ctx.m;
 
   std::vector<std::vector<real_t>> tokens(static_cast<std::size_t>(tb));
+  // Which tokens are in hand (an empty token is valid: m may be 0).
+  std::vector<char> have(static_cast<std::size_t>(tb), 0);
   index_t next_foreign = 0;
   auto advance_foreign = [&] {
     while (next_foreign < tb && lay.owner_of_block(next_foreign) == r) {
@@ -283,7 +341,7 @@ void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
   auto obtain = [&](index_t k) -> const std::vector<real_t>& {
     // Foreign tokens arrive in ascending order over the ring; my own were
     // produced when I processed their diagonal block.
-    while (tokens[static_cast<std::size_t>(k)].empty()) {
+    while (have[static_cast<std::size_t>(k)] == 0) {
       SPARTS_CHECK(next_foreign <= k, "token ordering violated");
       auto tok =
           proc.recv_values<real_t>(prev, tag_fw_token(ctx, s, next_foreign));
@@ -293,6 +351,7 @@ void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
                                  tok);
       }
       tokens[static_cast<std::size_t>(next_foreign)] = std::move(tok);
+      have[static_cast<std::size_t>(next_foreign)] = 1;
       ++next_foreign;
       advance_foreign();
     }
@@ -337,6 +396,7 @@ void fw_pipelined_row_priority(exec::Process& proc, const PhaseContext& ctx,
         apply(i, c1, i1 - c1, token);
       }
       tokens[static_cast<std::size_t>(i)] = std::move(token);
+      have[static_cast<std::size_t>(i)] = 1;
     } else {
       for (index_t k = 0; k < tb; ++k) apply(k, i0, i1 - i0, obtain(k));
     }
@@ -565,57 +625,299 @@ void bw_fan_in(exec::Process& proc, const PhaseContext& ctx, index_t s,
   }
 }
 
+
 // ---------------------------------------------------------------------------
-// Shared helpers for both phases.
+// The solve plan: built once per trisolver, walked by every sweep.
 // ---------------------------------------------------------------------------
 
-/// Allocate (if needed) the packed local fragment for supernode s on this
-/// rank and initialize its pivot positions from `source` (B for forward,
-/// Y for backward); below positions start at zero.
-std::vector<real_t>& ensure_buffer(const PhaseContext& ctx, BufferMap& bufs,
-                                   index_t s, index_t r,
-                                   std::span<const real_t> source,
-                                   index_t n) {
-  auto it = bufs.find(s);
-  if (it != bufs.end()) return it->second;
-  const Layout lay = layout_of(ctx, s);
-  const auto& part = ctx.factor.partition();
-  const index_t nloc = lay.local_count(r);
-  auto& v = bufs[s];
-  v.assign(static_cast<std::size_t>(nloc * ctx.m), 0.0);
-  const auto rows = part.row_indices(s);
-  for (index_t i = 0; i < lay.t; ++i) {
-    if (lay.owner_of(i) != r) continue;
-    const index_t lo = lay.local_of(i);
-    const index_t row = rows[static_cast<std::size_t>(i)];
-    for (index_t c = 0; c < ctx.m; ++c) {
-      v[static_cast<std::size_t>(c * nloc + lo)] = source[c * n + row];
+/// Every rank's share of every supernode it belongs to, in the forward
+/// sweep order `schedule`, with the hand-off maps, packet routing and
+/// frontier placement resolved.
+std::vector<RankPlan> build_plan(const numeric::SupernodalFactor& factor,
+                                 const DistributedFactor* local_values,
+                                 const mapping::SubcubeMapping& map,
+                                 index_t b,
+                                 const std::vector<exec::TaskId>& schedule) {
+  const auto& part = factor.partition();
+  const index_t nsup = part.num_supernodes();
+  auto group = [&](index_t s) -> const exec::Group& {
+    return map.group[static_cast<std::size_t>(s)];
+  };
+  auto layout = [&](index_t s) {
+    return Layout{group(s).count, b, part.height(s), part.width(s)};
+  };
+
+  // Steps, in schedule order per rank.  Rank r's step of supernode s is
+  // plan[base + r].steps[step_at[share[s] + r]].
+  std::vector<RankPlan> plan(static_cast<std::size_t>(map.p));
+  std::vector<index_t> share(static_cast<std::size_t>(nsup) + 1, 0);
+  std::vector<std::size_t> steps_of_rank(static_cast<std::size_t>(map.p), 0);
+  for (index_t s = 0; s < nsup; ++s) {
+    const exec::Group& g = group(s);
+    share[static_cast<std::size_t>(s) + 1] =
+        share[static_cast<std::size_t>(s)] + g.count;
+    for (index_t r = 0; r < g.count; ++r) {
+      ++steps_of_rank[static_cast<std::size_t>(g.base + r)];
     }
   }
-  return v;
+  for (std::size_t w = 0; w < plan.size(); ++w) {
+    plan[w].steps.reserve(steps_of_rank[w]);
+  }
+  std::vector<index_t> step_at(
+      static_cast<std::size_t>(share[static_cast<std::size_t>(nsup)]));
+  auto step_index = [&](index_t s, index_t r) {
+    return step_at[static_cast<std::size_t>(
+        share[static_cast<std::size_t>(s)] + r)];
+  };
+  auto step_of = [&](index_t s, index_t r) -> Step& {
+    return plan[static_cast<std::size_t>(group(s).base + r)]
+        .steps[static_cast<std::size_t>(step_index(s, r))];
+  };
+  for (const index_t s : schedule) {
+    const exec::Group& g = group(s);
+    const Layout lay = layout(s);
+    const auto rows = part.row_indices(s);
+    for (index_t r = 0; r < g.count; ++r) {
+      const index_t w = g.base + r;
+      auto& steps = plan[static_cast<std::size_t>(w)].steps;
+      step_at[static_cast<std::size_t>(share[static_cast<std::size_t>(s)] +
+                                       r)] =
+          static_cast<index_t>(steps.size());
+      Step& st = steps.emplace_back();
+      st.s = s;
+      st.r = r;
+      st.lay = lay;
+      st.nloc = lay.local_count(r);
+      if (local_values != nullptr) {
+        st.panel = &local_values->local_block(w, s);
+        SPARTS_CHECK(local_values->local_rows(w, s) == st.nloc,
+                     "DistributedFactor layout does not match the mapping");
+      } else {
+        st.shared = factor.block(s).data();
+      }
+      for (index_t blk = r; blk < lay.num_pivot_blocks(); blk += lay.q) {
+        const index_t end = std::min(lay.block_end(blk), lay.t);
+        for (index_t i = lay.block_begin(blk); i < end; ++i) {
+          st.pivots.emplace_back(lay.local_of(i),
+                                 rows[static_cast<std::size_t>(i)]);
+        }
+      }
+    }
+  }
+
+  // Owner and packed offset of a position; a sequential supernode (q = 1)
+  // holds every position at its own offset, without block arithmetic.
+  auto owner = [](const Layout& l, index_t pos) {
+    return l.q == 1 ? 0 : l.owner_of(pos);
+  };
+  auto local = [](const Layout& l, index_t pos) {
+    return l.q == 1 ? pos : l.local_of(pos);
+  };
+
+  // Child -> parent edges: every below row of a child lands at one
+  // position of its parent.  Owners equal on both sides make a local
+  // hand-off; otherwise the row travels in the forward packet to the
+  // parent owner and in the backward packet to the child owner.
+  const auto children = ordering::tree_children(part.stree);
+  std::vector<std::pair<index_t, index_t>> pairs;
+  for (index_t parent = 0; parent < nsup; ++parent) {
+    const exec::Group& pg = group(parent);
+    const Layout play = layout(parent);
+    const auto prows = part.row_indices(parent);
+    for (const index_t c : children[static_cast<std::size_t>(parent)]) {
+      const exec::Group& cg = group(c);
+      const Layout clay = layout(c);
+      const auto rows = part.row_indices(c);
+      pairs.clear();
+      // Every row hands off locally: size the map exactly.
+      if (cg.count == 1 && pg.count == 1 && cg.base == pg.base) {
+        step_of(c, 0).handoff.reserve(
+            static_cast<std::size_t>(clay.ns - clay.t));
+      }
+      Step* cs = nullptr;
+      Step* ps = nullptr;
+      std::size_t j = 0;  // both row lists ascend: merge
+      for (index_t pos = clay.t; pos < clay.ns; ++pos) {
+        const index_t row = rows[static_cast<std::size_t>(pos)];
+        while (j < prows.size() && prows[j] < row) ++j;
+        SPARTS_CHECK(j < prows.size() && prows[j] == row,
+                     "child row " << row << " missing from parent structure");
+        const index_t ppos = static_cast<index_t>(j);
+        const index_t rc = owner(clay, pos);
+        const index_t rp = owner(play, ppos);
+        const index_t wc = cg.base + rc;
+        const index_t wp = pg.base + rp;
+        const index_t lo = local(clay, pos);
+        const index_t plo = local(play, ppos);
+        if (cs == nullptr || cs->r != rc) cs = &step_of(c, rc);
+        if (ps == nullptr || ps->r != rp) ps = &step_of(parent, rp);
+        if (ps->children.empty() || ps->children.back().child != c) {
+          ps->children.emplace_back().child = c;
+        }
+        ChildLink& link = ps->children.back();
+        if (wc == wp) {
+          cs->handoff.emplace_back(lo, plo);
+          cs->parent_step = step_index(parent, rp);
+          link.step = step_index(c, rc);
+        } else {
+          add_to_packet(cs->fw_send, wp, ppos, lo);
+          add_to_packet(link.packets, wc, pos, plo);
+          pairs.emplace_back(wc, wp);
+        }
+      }
+      // Receive order: children in order, then (src, dst) ascending.
+      std::sort(pairs.begin(), pairs.end());
+      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+      for (const auto& [src, dst] : pairs) {
+        step_of(parent, dst - pg.base).fw_recv.emplace_back(src, c);
+        step_of(c, src - cg.base).bw_recv.push_back(dst);
+      }
+    }
+  }
+
+  // Sends go out in ascending peer order; fragments get their frontier
+  // rows in sweep order, forward and backward separately.
+  std::vector<char> placed;
+  for (RankPlan& rp : plan) {
+    auto& steps = rp.steps;
+    for (Step& st : steps) {
+      sort_by_peer(st.fw_send);
+      for (ChildLink& link : st.children) sort_by_peer(link.packets);
+    }
+    FrontierArena fw;
+    placed.assign(steps.size(), 0);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      Step& st = steps[i];
+      if (placed[i] == 0) {
+        st.fw_offset = fw.place(st.nloc);
+      } else {
+        st.fw_init = false;
+      }
+      if (st.parent_step >= 0) {
+        const auto pj = static_cast<std::size_t>(st.parent_step);
+        if (placed[pj] == 0) {
+          placed[pj] = 1;
+          steps[pj].fw_offset = fw.place(steps[pj].nloc);
+          st.fw_init_parent = true;
+        }
+      }
+      fw.release(st.fw_offset, st.nloc);
+    }
+    FrontierArena bw;
+    placed.assign(steps.size(), 0);
+    for (std::size_t i = steps.size(); i-- > 0;) {
+      Step& st = steps[i];
+      if (placed[i] == 0) st.bw_offset = bw.place(st.nloc);
+      for (const ChildLink& link : st.children) {
+        if (link.step < 0) continue;
+        const auto cj = static_cast<std::size_t>(link.step);
+        placed[cj] = 1;
+        steps[cj].bw_offset = bw.place(steps[cj].nloc);
+      }
+      bw.release(st.bw_offset, st.nloc);
+    }
+    rp.frontier_rows = std::max(fw.peak(), bw.peak());
+  }
+  return plan;
 }
 
-/// Build the factor view for (rank, supernode): packed local copy when a
-/// DistributedFactor is attached, shared host block otherwise.
-LView make_view(const numeric::SupernodalFactor& factor,
-                const DistributedFactor* local_values, index_t w, index_t s,
-                const Layout& lay) {
+/// Zero-fill a fragment and gather its owned pivot rows from `source` (B
+/// for forward, Y for backward); below rows start at zero.
+void init_fragment(const Step& st, real_t* v, std::span<const real_t> source,
+                   index_t n, index_t m) {
+  std::fill_n(v, static_cast<std::size_t>(st.nloc * m), 0.0);
+  for (const auto& [lo, row] : st.pivots) {
+    for (index_t c = 0; c < m; ++c) v[c * st.nloc + lo] = source[c * n + row];
+  }
+}
+
+/// The factor view of a step: the packed local copy under strict storage,
+/// the shared host block otherwise.
+LView view_of(const Step& st) {
   LView lv;
-  lv.lay = &lay;
-  if (local_values != nullptr) {
-    const auto& block = local_values->local_block(w, s);
-    lv.base = block.data();
-    lv.ld = local_values->local_rows(w, s);
+  lv.lay = &st.lay;
+  if (st.panel != nullptr) {
+    lv.base = st.panel->data();
+    lv.ld = st.nloc;
     lv.packed = true;
   } else {
-    lv.base = factor.block(s).data();
-    lv.ld = lay.ns;
-    lv.packed = false;
+    lv.base = st.shared;
+    lv.ld = st.lay.ns;
   }
   return lv;
 }
 
+/// Serialize the rows of fragment `v` (ld `nloc`) that `pk` routes.
+exec::Payload pack_rows(const Packet& pk, const real_t* v, index_t nloc,
+                        index_t m) {
+  RhsPacket pkt;
+  pkt.positions = pk.positions;
+  pkt.values.reserve(pk.local.size() * static_cast<std::size_t>(m));
+  for (const index_t lo : pk.local) {
+    for (index_t c = 0; c < m; ++c) pkt.values.push_back(v[c * nloc + lo]);
+  }
+  return pack_rhs(pkt, m);
+}
+
 }  // namespace
+
+DistributedTrisolver::DistributedTrisolver(
+    const numeric::SupernodalFactor& factor, const mapping::SubcubeMapping& map,
+    Options options)
+    : DistributedTrisolver(factor, nullptr, map, options) {}
+
+DistributedTrisolver::DistributedTrisolver(
+    const numeric::SupernodalFactor& factor,
+    const DistributedFactor* local_values, const mapping::SubcubeMapping& map,
+    Options options)
+    : factor_(factor), map_(map), options_(options) {
+  if (local_values != nullptr) {
+    SPARTS_CHECK(local_values->block_size() == options_.block_size,
+                 "DistributedFactor block size must match solver options");
+  }
+  SPARTS_CHECK(options_.block_size >= 1);
+  const auto& part = factor_.partition();
+  SPARTS_VALIDATE_CHEAP(map_.check_consistent(part));
+  // Expensive: the 1-D block-cyclic ownership of every shared supernode's
+  // trapezoid must partition its positions (the solver's routing tables
+  // are derived from exactly this arithmetic).
+  if (checks_at_least(CheckLevel::expensive)) {
+    for (index_t s = 0; s < part.num_supernodes(); ++s) {
+      const exec::Group& g = map_.group[static_cast<std::size_t>(s)];
+      if (g.count == 1) continue;
+      mapping::validate_block_cyclic(
+          mapping::BlockCyclic1d{options_.block_size, g.count},
+          part.height(s));
+    }
+  }
+
+  const index_t nsup = part.num_supernodes();
+  const index_t b = options_.block_size;
+  block_base_.resize(static_cast<std::size_t>(nsup));
+  index_t next_block = 0;
+  for (index_t s = 0; s < nsup; ++s) {
+    block_base_[static_cast<std::size_t>(s)] = next_block;
+    next_block += (part.width(s) + b - 1) / b;
+  }
+
+  // The SPMD sweeps are lowerings of the solve DAGs (solve_dag.hpp): each
+  // rank walks the forward DAG's deterministic topological schedule —
+  // exactly ascending supernode order for this child -> ancestor graph —
+  // and executes the supernodes its group owns.  The backward DAG is the
+  // forward DAG with every edge reversed, so the reverse of that schedule
+  // (descending supernode order) is a valid topological order of it, and
+  // the one that reproduces the historical top-down sweep byte for byte.
+  // Each DAG is built once, here; only its schedule and stats are kept.
+  {
+    const exec::TaskGraph fdag = build_forward_dag(part);
+    forward_graph_ = fdag.analyze();
+    plan_ = build_plan(factor_, local_values, map_, b, fdag.topo_schedule());
+  }
+  backward_graph_ = build_backward_dag(part).analyze();
+  frontier_.resize(static_cast<std::size_t>(map_.p));
+}
+
+DistributedTrisolver::~DistributedTrisolver() = default;
 
 int DistributedTrisolver::tag_limit() const {
   const auto& part = factor_.partition();
@@ -629,151 +931,128 @@ int DistributedTrisolver::tag_limit() const {
   return static_cast<int>(4 * total);
 }
 
+exec::RunStats DistributedTrisolver::run_sweep(
+    exec::Comm& machine, index_t m,
+    const std::function<void(exec::Process&)>& spmd) const {
+  SPARTS_CHECK(machine.nprocs() == map_.p,
+               "machine size does not match the mapping");
+  const bool busy = sweeping_.exchange(true);
+  SPARTS_CHECK(!busy, "sweeps on one DistributedTrisolver must not overlap");
+  struct Release {
+    std::atomic<bool>& flag;
+    ~Release() { flag.store(false); }
+  } release{sweeping_};
+  return machine.run([&](exec::Process& proc) {
+    const auto w = static_cast<std::size_t>(proc.rank());
+    // Grown (never shrunk) inside the rank, so its pages are first
+    // touched by the thread that uses them.
+    const auto rows = static_cast<std::size_t>(plan_[w].frontier_rows);
+    std::vector<real_t>& scratch = frontier_[w];
+    if (scratch.size() < rows * static_cast<std::size_t>(m)) {
+      scratch.resize(rows * static_cast<std::size_t>(m));
+    }
+    spmd(proc);
+  });
+}
+
 PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
                                           std::span<const real_t> b_in,
                                           std::span<real_t> y_out,
                                           index_t m) const {
-  const auto& part = factor_.partition();
-  const index_t n = part.n();
-  SPARTS_CHECK(machine.nprocs() == map_.p,
-               "machine size does not match the mapping");
+  const index_t n = factor_.partition().n();
   SPARTS_CHECK(static_cast<index_t>(b_in.size()) == n * m);
   SPARTS_CHECK(static_cast<index_t>(y_out.size()) == n * m);
-
-  PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
-
-  // The SPMD sweep is a lowering of the forward-elimination DAG (edge
-  // c -> s when c's rectangle update feeds rows of s): each rank walks the
-  // graph's deterministic topological schedule — exactly ascending
-  // supernode order for this child -> ancestor graph — and executes the
-  // supernodes its group owns.
-  const exec::TaskGraph fdag = build_forward_dag(part);
-  const std::vector<exec::TaskId> schedule = fdag.topo_schedule();
-
-  std::vector<BufferMap> rank_bufs(static_cast<std::size_t>(map_.p));
+  const PhaseContext ctx{map_, block_base_, m};
 
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
-    BufferMap& bufs = rank_bufs[static_cast<std::size_t>(w)];
-    for (const index_t s : schedule) {
-      const exec::Group g = map_.group[static_cast<std::size_t>(s)];
-      if (!g.contains(w)) continue;
-      exec::note_progress(proc, "fw supernode " + std::to_string(s));
+    const std::vector<Step>& steps = plan_[static_cast<std::size_t>(w)].steps;
+    real_t* frontier = frontier_[static_cast<std::size_t>(w)].data();
+    for (const Step& st : steps) {
+      const index_t s = st.s;
+      const index_t q = st.lay.q;
+      exec::note_progress(proc, "fw supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fw.supernode",
                         static_cast<std::int64_t>(s),
-                        static_cast<std::int64_t>(g.count));
+                        static_cast<std::int64_t>(q));
       // Fusion hook: runs before any factor block of s is read, so a
       // fused redistribution can deliver the supernode's 1-D fragments
       // just in time for the solve below (tags disjoint by tag_limit()).
       if (forward_prologue_) forward_prologue_(proc, s);
-      const index_t r = w - g.base;
-      const Layout lay = layout_of(ctx, s);
-      const index_t nloc = lay.local_count(r);
-      auto& v = ensure_buffer(ctx, bufs, s, r, b_in, n);
+      const Layout& lay = st.lay;
+      const index_t nloc = st.nloc;
+      real_t* v = frontier + st.fw_offset * m;
+      if (st.fw_init) init_fragment(st, v, b_in, n, m);
 
       // Receive remote child contributions.
-      for (index_t c : children_[static_cast<std::size_t>(s)]) {
-        const ChildRouting& cr = routing_[static_cast<std::size_t>(c)];
-        for (const auto& [src, dst] : cr.pairs) {
-          if (dst != w) continue;
-          auto msg = proc.recv(src, tag_fw_contrib(c));
-          RhsPacket pkt = unpack_rhs(msg.payload, m);
-          check_finite_cheap(pkt.values, "fw child contribution", c);
-          // The child's tail already holds -L21*y, so contributions add.
-          for (std::size_t z = 0; z < pkt.positions.size(); ++z) {
-            const index_t lo = lay.local_of(pkt.positions[z]);
-            for (index_t col = 0; col < m; ++col) {
-              v[static_cast<std::size_t>(col * nloc + lo)] +=
-                  pkt.values[z * static_cast<std::size_t>(m) +
-                             static_cast<std::size_t>(col)];
-            }
+      for (const auto& [src, c] : st.fw_recv) {
+        auto msg = proc.recv(src, tag_fw_contrib(c));
+        RhsPacket pkt = unpack_rhs(msg.payload, m);
+        check_finite_cheap(pkt.values, "fw child contribution", c);
+        // The child's tail already holds -L21*y, so contributions add.
+        for (std::size_t z = 0; z < pkt.positions.size(); ++z) {
+          const index_t lo = lay.local_of(pkt.positions[z]);
+          for (index_t col = 0; col < m; ++col) {
+            v[col * nloc + lo] += pkt.values[z * static_cast<std::size_t>(m) +
+                                             static_cast<std::size_t>(col)];
           }
-          proc.compute_at(static_cast<double>(pkt.positions.size()) *
-                              static_cast<double>(m),
-                          proc.cost().t_mem);
         }
+        proc.compute_at(static_cast<double>(pkt.positions.size()) *
+                            static_cast<double>(m),
+                        proc.cost().t_mem);
       }
 
-      const LView lv = make_view(factor_, local_values_, w, s, lay);
-      if (g.count == 1) {
+      const LView lv = view_of(st);
+      if (q == 1) {
         // Entire trapezoid local: dense triangular solve + rectangle update.
         proc.compute_at(static_cast<double>(dense::panel_trsm_lower(
-                            lay.t, m, lv.base, lv.ld, v.data(), nloc)),
+                            lay.t, m, lv.base, lv.ld, v, nloc)),
                         proc.cost().panel_flop(m));
         const index_t below = lay.ns - lay.t;
         if (below > 0) {
           dense::panel_gemm(below, m, lay.t, -1.0, lv.base + lv.row(lay.t),
-                            lv.ld, v.data(), nloc, v.data() + lay.t, nloc);
+                            lv.ld, v, nloc, v + lay.t, nloc);
           proc.compute_at(
               static_cast<double>(dense::gemm_flops(below, m, lay.t)),
               proc.cost().panel_flop(m));
         }
       } else if (options_.pipelining == Pipelining::column_priority) {
-        fw_pipelined_column_priority(proc, ctx, s, lay, r, lv, v.data(),
-                                     nloc);
+        fw_pipelined_column_priority(proc, ctx, s, lay, st.r, lv, v, nloc);
       } else if (options_.pipelining == Pipelining::row_priority) {
-        fw_pipelined_row_priority(proc, ctx, s, lay, r, lv, v.data(), nloc);
+        fw_pipelined_row_priority(proc, ctx, s, lay, st.r, lv, v, nloc);
       } else {
-        fw_fan_out(proc, ctx, s, lay, r, lv, v.data(), nloc);
+        fw_fan_out(proc, ctx, s, lay, st.r, lv, v, nloc);
       }
 
       // Publish Y at my pivot positions.
-      const auto rows = part.row_indices(s);
-      for (index_t i = 0; i < lay.t; ++i) {
-        if (lay.owner_of(i) != r) continue;
-        const index_t lo = lay.local_of(i);
-        const index_t row = rows[static_cast<std::size_t>(i)];
-        for (index_t c = 0; c < m; ++c) {
-          y_out[c * n + row] = v[static_cast<std::size_t>(c * nloc + lo)];
-        }
+      for (const auto& [lo, row] : st.pivots) {
+        for (index_t c = 0; c < m; ++c) y_out[c * n + row] = v[c * nloc + lo];
       }
 
-      // Route the tail to the parent.
-      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-      if (parent != -1) {
-        const ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
-        const Layout play = layout_of(ctx, parent);
-        const exec::Group pg =
-            map_.group[static_cast<std::size_t>(parent)];
-        const index_t below = lay.ns - lay.t;
-        std::map<index_t, RhsPacket> buckets;
-        for (index_t k = 0; k < below; ++k) {
-          const index_t pos = lay.t + k;
-          if (lay.owner_of(pos) != r) continue;
-          const index_t ppos = cr.parent_pos[static_cast<std::size_t>(k)];
-          const index_t dst = pg.base + play.owner_of(ppos);
-          const index_t lo = lay.local_of(pos);
-          if (dst == w) {
-            // Local hand-off: the tail holds -L21*y, so it adds directly
-            // into the parent fragment.
-            auto& pv = ensure_buffer(ctx, bufs, parent, w - pg.base, b_in, n);
-            const index_t pnloc = play.local_count(w - pg.base);
-            const index_t plo = play.local_of(ppos);
-            for (index_t c = 0; c < m; ++c) {
-              pv[static_cast<std::size_t>(c * pnloc + plo)] +=
-                  v[static_cast<std::size_t>(c * nloc + lo)];
-            }
-            proc.compute_at(static_cast<double>(m), proc.cost().t_mem);
-          } else {
-            RhsPacket& pkt = buckets[dst];
-            pkt.positions.push_back(ppos);
-            for (index_t c = 0; c < m; ++c) {
-              pkt.values.push_back(
-                  v[static_cast<std::size_t>(c * nloc + lo)]);
-            }
+      // Route the tail to the parent.  Local hand-off: the tail holds
+      // -L21*y, so it adds directly into the parent fragment.
+      if (st.parent_step >= 0) {
+        const Step& ps = steps[static_cast<std::size_t>(st.parent_step)];
+        real_t* pv = frontier + ps.fw_offset * m;
+        if (st.fw_init_parent) init_fragment(ps, pv, b_in, n, m);
+        for (const auto& [lo, plo] : st.handoff) {
+          for (index_t c = 0; c < m; ++c) {
+            pv[c * ps.nloc + plo] += v[c * nloc + lo];
           }
         }
-        for (auto& [dst, pkt] : buckets) {
-          proc.send_owned(dst, tag_fw_contrib(s), pack_rhs(pkt, m));
-        }
+        proc.compute_at(static_cast<double>(st.handoff.size()) *
+                            static_cast<double>(m),
+                        proc.cost().t_mem);
       }
-      bufs.erase(s);
+      for (const Packet& pk : st.fw_send) {
+        proc.send_owned(pk.peer, tag_fw_contrib(s), pack_rows(pk, v, nloc, m));
+      }
     }
   };
 
   PhaseReport report;
-  report.stats = machine.run(spmd);
-  report.graph = fdag.analyze();
+  report.stats = run_sweep(machine, m, spmd);
+  report.graph = forward_graph_;
   return report;
 }
 
@@ -781,140 +1060,98 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
                                            std::span<const real_t> y_in,
                                            std::span<real_t> x_out,
                                            index_t m) const {
-  const auto& part = factor_.partition();
-  const index_t n = part.n();
-  SPARTS_CHECK(machine.nprocs() == map_.p,
-               "machine size does not match the mapping");
+  const index_t n = factor_.partition().n();
   SPARTS_CHECK(static_cast<index_t>(y_in.size()) == n * m);
   SPARTS_CHECK(static_cast<index_t>(x_out.size()) == n * m);
-
-  PhaseContext ctx{factor_, map_, options_, children_, block_base_, m};
-
-  // Backward lowering: the backward DAG is the forward DAG with every edge
-  // reversed, so the reverse of the forward schedule — descending
-  // supernode order — is a valid topological order of it, and the one that
-  // reproduces the historical top-down sweep byte for byte.  (The backward
-  // graph's own smallest-id-first schedule would hoist below-free
-  // supernodes early.)
-  const exec::TaskGraph bdag = build_backward_dag(part);
-  std::vector<exec::TaskId> schedule = build_forward_dag(part).topo_schedule();
-  std::reverse(schedule.begin(), schedule.end());
-
-  std::vector<BufferMap> rank_bufs(static_cast<std::size_t>(map_.p));
+  const PhaseContext ctx{map_, block_base_, m};
 
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
-    BufferMap& bufs = rank_bufs[static_cast<std::size_t>(w)];
-    for (const index_t s : schedule) {
-      const exec::Group g = map_.group[static_cast<std::size_t>(s)];
-      if (!g.contains(w)) continue;
-      exec::note_progress(proc, "bw supernode " + std::to_string(s));
+    const std::vector<Step>& steps = plan_[static_cast<std::size_t>(w)].steps;
+    real_t* frontier = frontier_[static_cast<std::size_t>(w)].data();
+    for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
+      const Step& st = *it;
+      const index_t s = st.s;
+      const index_t q = st.lay.q;
+      exec::note_progress(proc, "bw supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "bw.supernode",
                         static_cast<std::int64_t>(s),
-                        static_cast<std::int64_t>(g.count));
-      const index_t r = w - g.base;
-      const Layout lay = layout_of(ctx, s);
-      const index_t nloc = lay.local_count(r);
-      auto& wv = ensure_buffer(ctx, bufs, s, r, y_in, n);
+                        static_cast<std::int64_t>(q));
+      const Layout& lay = st.lay;
+      const index_t nloc = st.nloc;
+      real_t* wv = frontier + st.bw_offset * m;
+      // A fragment the parent copied rows into was set up by the parent.
+      if (st.handoff.empty()) init_fragment(st, wv, y_in, n, m);
 
       // Receive the below-part values from the parent.
-      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-      if (parent != -1) {
-        const ChildRouting& cr = routing_[static_cast<std::size_t>(s)];
-        // Backward messages travel parent -> child: the pair roles swap.
-        for (const auto& [child_rank, parent_rank] : cr.pairs) {
-          if (child_rank != w) continue;
-          auto msg = proc.recv(parent_rank, tag_bw_copy(s));
-          RhsPacket pkt = unpack_rhs(msg.payload, m);
-          check_finite_cheap(pkt.values, "bw parent values", s);
-          for (std::size_t z = 0; z < pkt.positions.size(); ++z) {
-            const index_t lo = lay.local_of(pkt.positions[z]);
-            for (index_t col = 0; col < m; ++col) {
-              wv[static_cast<std::size_t>(col * nloc + lo)] =
-                  pkt.values[z * static_cast<std::size_t>(m) +
-                             static_cast<std::size_t>(col)];
-            }
+      for (const index_t src : st.bw_recv) {
+        auto msg = proc.recv(src, tag_bw_copy(s));
+        RhsPacket pkt = unpack_rhs(msg.payload, m);
+        check_finite_cheap(pkt.values, "bw parent values", s);
+        for (std::size_t z = 0; z < pkt.positions.size(); ++z) {
+          const index_t lo = lay.local_of(pkt.positions[z]);
+          for (index_t col = 0; col < m; ++col) {
+            wv[col * nloc + lo] = pkt.values[z * static_cast<std::size_t>(m) +
+                                             static_cast<std::size_t>(col)];
           }
-          proc.compute_at(static_cast<double>(pkt.positions.size()) *
-                              static_cast<double>(m),
-                          proc.cost().t_mem);
         }
+        proc.compute_at(static_cast<double>(pkt.positions.size()) *
+                            static_cast<double>(m),
+                        proc.cost().t_mem);
       }
 
-      const LView lv = make_view(factor_, local_values_, w, s, lay);
-      if (g.count == 1) {
+      const LView lv = view_of(st);
+      if (q == 1) {
         const index_t below = lay.ns - lay.t;
         if (below > 0) {
           dense::panel_gemm_at(lay.t, m, below, -1.0,
                                lv.base + lv.row(lay.t), lv.ld,
-                               wv.data() + lay.t, nloc, wv.data(), nloc);
+                               wv + lay.t, nloc, wv, nloc);
           proc.compute_at(
               static_cast<double>(dense::gemm_flops(lay.t, m, below)),
               proc.cost().panel_flop(m));
         }
         proc.compute_at(
             static_cast<double>(dense::panel_trsm_lower_transposed(
-                lay.t, m, lv.base, lv.ld, wv.data(), nloc)),
+                lay.t, m, lv.base, lv.ld, wv, nloc)),
             proc.cost().panel_flop(m));
       } else if (options_.pipelining == Pipelining::fan_out) {
-        bw_fan_in(proc, ctx, s, lay, r, lv, wv.data(), nloc);
+        bw_fan_in(proc, ctx, s, lay, st.r, lv, wv, nloc);
       } else {
-        bw_pipelined(proc, ctx, s, lay, r, lv, wv.data(), nloc);
+        bw_pipelined(proc, ctx, s, lay, st.r, lv, wv, nloc);
       }
 
       // Publish X at my pivot positions.
-      const auto rows = part.row_indices(s);
-      for (index_t i = 0; i < lay.t; ++i) {
-        if (lay.owner_of(i) != r) continue;
-        const index_t lo = lay.local_of(i);
-        const index_t row = rows[static_cast<std::size_t>(i)];
-        for (index_t c = 0; c < m; ++c) {
-          x_out[c * n + row] = wv[static_cast<std::size_t>(c * nloc + lo)];
-        }
+      for (const auto& [lo, row] : st.pivots) {
+        for (index_t c = 0; c < m; ++c) x_out[c * n + row] = wv[c * nloc + lo];
       }
 
       // Send each child the values its below-part positions need.
-      for (index_t c : children_[static_cast<std::size_t>(s)]) {
-        const ChildRouting& cr = routing_[static_cast<std::size_t>(c)];
-        const Layout clay = layout_of(ctx, c);
-        const exec::Group cg = map_.group[static_cast<std::size_t>(c)];
-        std::map<index_t, RhsPacket> buckets;
-        const index_t cbelow = clay.ns - clay.t;
-        for (index_t k = 0; k < cbelow; ++k) {
-          const index_t ppos = cr.parent_pos[static_cast<std::size_t>(k)];
-          if (lay.owner_of(ppos) != r) continue;
-          const index_t cpos = clay.t + k;
-          const index_t dst = cg.base + clay.owner_of(cpos);
-          const index_t lo = lay.local_of(ppos);
-          if (dst == w) {
-            auto& cv = ensure_buffer(ctx, bufs, c, w - cg.base, y_in, n);
-            const index_t cnloc = clay.local_count(w - cg.base);
-            const index_t clo = clay.local_of(cpos);
+      for (const ChildLink& link : st.children) {
+        if (link.step >= 0) {
+          const Step& cs = steps[static_cast<std::size_t>(link.step)];
+          real_t* cv = frontier + cs.bw_offset * m;
+          init_fragment(cs, cv, y_in, n, m);
+          for (const auto& [clo, lo] : cs.handoff) {
             for (index_t col = 0; col < m; ++col) {
-              cv[static_cast<std::size_t>(col * cnloc + clo)] =
-                  wv[static_cast<std::size_t>(col * nloc + lo)];
-            }
-            proc.compute_at(static_cast<double>(m), proc.cost().t_mem);
-          } else {
-            RhsPacket& pkt = buckets[dst];
-            pkt.positions.push_back(cpos);
-            for (index_t col = 0; col < m; ++col) {
-              pkt.values.push_back(
-                  wv[static_cast<std::size_t>(col * nloc + lo)]);
+              cv[col * cs.nloc + clo] = wv[col * nloc + lo];
             }
           }
+          proc.compute_at(static_cast<double>(cs.handoff.size()) *
+                              static_cast<double>(m),
+                          proc.cost().t_mem);
         }
-        for (auto& [dst, pkt] : buckets) {
-          proc.send_owned(dst, tag_bw_copy(c), pack_rhs(pkt, m));
+        for (const Packet& pk : link.packets) {
+          proc.send_owned(pk.peer, tag_bw_copy(link.child),
+                          pack_rows(pk, wv, nloc, m));
         }
       }
-      bufs.erase(s);
     }
   };
 
   PhaseReport report;
-  report.stats = machine.run(spmd);
-  report.graph = bdag.analyze();
+  report.stats = run_sweep(machine, m, spmd);
+  report.graph = backward_graph_;
   return report;
 }
 

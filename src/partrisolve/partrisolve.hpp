@@ -19,6 +19,7 @@
 // backward substitution walks top-down producing X (L^T X = Y).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <span>
 #include <vector>
@@ -56,12 +57,25 @@ struct PhaseReport {
   double time() const { return stats.parallel_time(); }
 };
 
+namespace detail {
+/// One rank's share of the solve plan (defined in partrisolve.cpp).
+struct RankPlan;
+}  // namespace detail
+
 /// Distributed triangular solver bound to a factor and a processor mapping.
 ///
 /// The factor's numeric blocks are shared read-only across the virtual
 /// processors (the factor is already distributed conformally after
 /// factorization + redistribution; see redist/).  Right-hand-side data
 /// flows through explicit simulated messages.
+///
+/// Everything that depends only on the factor structure, the mapping and
+/// the block size is built once, by the constructor, into a per-rank solve
+/// plan: the sweep schedule, the factor views, pivot gather/scatter rows,
+/// the child <-> parent hand-off maps and packet routing, and each
+/// fragment's place in a frontier-sized scratch.  forward() and
+/// backward() only walk that plan, so one trisolver amortizes it over any
+/// number of solves.  Sweeps on one trisolver must not overlap (checked).
 class DistributedTrisolver {
  public:
   DistributedTrisolver(const numeric::SupernodalFactor& factor,
@@ -71,10 +85,14 @@ class DistributedTrisolver {
   /// private packed storage (`local_values`, e.g. produced by the 2-D ->
   /// 1-D redistribution) instead of the shared factor.  `factor` still
   /// provides the symbolic structure.  `local_values` must outlive the
-  /// solver and match options.block_size.
+  /// solver, match options.block_size and keep its blocks in place (the
+  /// plan points at them); their values may change between solves, as the
+  /// fused redistribution prologue does during forward().
   DistributedTrisolver(const numeric::SupernodalFactor& factor,
                        const DistributedFactor* local_values,
                        const mapping::SubcubeMapping& map, Options options);
+
+  ~DistributedTrisolver();
 
   /// Solve L Y = B on `machine` (machine.nprocs() must equal map.p).
   /// `b_in` is n x m column-major; `y_out` receives Y.
@@ -116,25 +134,28 @@ class DistributedTrisolver {
   }
 
  private:
-  struct ChildRouting {
-    /// For below-position k of child c (0-based), the position of that row
-    /// inside the parent's trapezoid.
-    std::vector<index_t> parent_pos;
-    /// Unique (child_world_rank, parent_world_rank) communication pairs,
-    /// ascending.  Pairs with equal src and dst (local hand-off) excluded.
-    std::vector<std::pair<index_t, index_t>> pairs;
-  };
+  /// Run one sweep's SPMD body on `machine`, holding the per-rank
+  /// frontier scratch (sized for m right-hand sides) for its duration.
+  exec::RunStats run_sweep(exec::Comm& machine, index_t m,
+                           const std::function<void(exec::Process&)>& spmd)
+      const;
 
   const numeric::SupernodalFactor& factor_;
-  const DistributedFactor* local_values_ = nullptr;
   const mapping::SubcubeMapping& map_;
   Options options_;
-  std::vector<std::vector<index_t>> children_;  ///< per supernode
-  std::vector<ChildRouting> routing_;           ///< per supernode (to parent)
   /// Prefix sums of pivot-block counts: block_base_[s] is the global id
   /// of supernode s's first pivot block.  Token tags are derived from
   /// global block ids so every in-flight token has a unique tag.
   std::vector<index_t> block_base_;
+  /// The solve plan, per world rank: built once by the constructor and
+  /// only walked by the sweeps.
+  std::vector<detail::RankPlan> plan_;
+  exec::GraphStats forward_graph_;
+  exec::GraphStats backward_graph_;
+  /// Per-rank frontier scratch, recycled across supernodes and solves.
+  /// A sweep holds it exclusively; see run_sweep().
+  mutable std::vector<std::vector<real_t>> frontier_;
+  mutable std::atomic<bool> sweeping_{false};
   /// Optional fusion hook; see set_forward_prologue().
   std::function<void(exec::Process&, index_t)> forward_prologue_;
 };

@@ -2,8 +2,10 @@
 // load-balance diagnostics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
+#include "common/rng.hpp"
 #include "mapping/load_balance.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "ordering/nested_dissection.hpp"
@@ -51,6 +53,29 @@ TEST(Layout, LocalOffsetsAreAscendingAndPacked) {
       EXPECT_EQ(lay.local_of(i), expected) << "rank " << r << " pos " << i;
       ++expected;
     }
+  }
+}
+
+TEST(Layout, LocalCountClosedFormMatchesBlockWalk) {
+  // Property: the O(1) local_count equals summing the rank's owned
+  // blocks one by one, including ranks past the last block and ns = 0.
+  Rng rng(41);
+  for (int trial = 0; trial < 5000; ++trial) {
+    const index_t q = 1 + static_cast<index_t>(rng.next_below(16));
+    const index_t b = 1 + static_cast<index_t>(rng.next_below(12));
+    const index_t ns = static_cast<index_t>(rng.next_below(200));
+    const index_t t = static_cast<index_t>(
+        rng.next_below(static_cast<std::uint64_t>(ns) + 1));
+    const index_t r = static_cast<index_t>(rng.next_below(
+        static_cast<std::uint64_t>(std::max(q, ns / b + 2))));
+    const partrisolve::Layout lay{q, b, ns, t};
+    index_t walked = 0;
+    for (index_t blk = r; blk < lay.num_blocks(); blk += q) {
+      walked += lay.block_end(blk) - lay.block_begin(blk);
+    }
+    ASSERT_EQ(lay.local_count(r), walked)
+        << "q=" << q << " b=" << b << " ns=" << ns << " t=" << t
+        << " r=" << r;
   }
 }
 

@@ -3,16 +3,22 @@
 // size, pipelining variant, right-hand-side count, and matrix family.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "dense/cholesky.hpp"
+#include "exec/task_backend.hpp"
+#include "exec/thread_backend.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "numeric/multifrontal.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "partrisolve/dense_trisolve.hpp"
 #include "partrisolve/dist_factor.hpp"
 #include "partrisolve/partrisolve.hpp"
+#include "partrisolve/solve_dag.hpp"
+#include "solver/sparse_solver.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
 #include "trisolve/trisolve.hpp"
@@ -21,6 +27,7 @@
 namespace sparts {
 namespace {
 
+using partrisolve::DistributedFactor;
 using partrisolve::DistributedTrisolver;
 using partrisolve::Options;
 using partrisolve::Pipelining;
@@ -264,6 +271,161 @@ TEST(ParTrisolve, MultipleRhsRaisesFlopRate) {
   const double r1 = mflops_for(1);
   const double r10 = mflops_for(10);
   EXPECT_GT(r10, 1.5 * r1);
+}
+
+// ---------------------------------------------------------------------------
+// Plan reuse: the constructor builds the solve plan once; every solve after
+// it must be exactly what a freshly built trisolver computes.
+// ---------------------------------------------------------------------------
+
+enum class Backend { sim, threads, tasks };
+
+std::unique_ptr<exec::Comm> make_comm(Backend kind, index_t p) {
+  switch (kind) {
+    case Backend::sim: {
+      simpar::Machine::Config cfg;
+      cfg.nprocs = p;
+      cfg.cost = simpar::CostModel::t3d();
+      cfg.topology = simpar::TopologyKind::hypercube;
+      return std::make_unique<simpar::Machine>(cfg);
+    }
+    case Backend::threads: {
+      exec::ThreadBackend::Config cfg;
+      cfg.nprocs = p;
+      cfg.recv_timeout = 30.0;
+      return std::make_unique<exec::ThreadBackend>(cfg);
+    }
+    case Backend::tasks: {
+      exec::TaskBackend::Config cfg;
+      cfg.nprocs = p;
+      cfg.scheduler.workers = 2;
+      return std::make_unique<exec::TaskBackend>(cfg);
+    }
+  }
+  return nullptr;
+}
+
+bool bitwise_equal(const std::vector<real_t>& a, const std::vector<real_t>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0);
+}
+
+void expect_same_graph(const exec::GraphStats& got,
+                       const exec::GraphStats& want) {
+  EXPECT_EQ(got.tasks, want.tasks);
+  EXPECT_EQ(got.edges, want.edges);
+  EXPECT_EQ(got.total_cost, want.total_cost);
+  EXPECT_EQ(got.critical_path_cost, want.critical_path_cost);
+  EXPECT_EQ(got.depth, want.depth);
+  EXPECT_EQ(got.max_width, want.max_width);
+  EXPECT_EQ(got.avg_parallelism, want.avg_parallelism);
+  for (std::size_t k = 0; k < std::size(want.kind_counts); ++k) {
+    EXPECT_EQ(got.kind_counts[k], want.kind_counts[k]) << "kind " << k;
+  }
+}
+
+TEST(PlanReuse, OneTrisolverServesManySolvesBitIdentically) {
+  // One trisolver serves m = 1, 7, 0, 30, 1 in turn (the frontier scratch
+  // grows, idles and shrinks in use) on every backend, processor count,
+  // pipelining mode and storage kind.  Each solve must equal, bit for bit,
+  // a trisolver built just for it, and the same solve on the simulator.
+  Problem prob = make_grid_problem(13);
+  const auto& part = prob.l.partition();
+  const index_t n = prob.a.n();
+  const exec::GraphStats fw_graph = partrisolve::build_forward_dag(part)
+                                        .analyze();
+  const exec::GraphStats bw_graph = partrisolve::build_backward_dag(part)
+                                        .analyze();
+  const std::vector<index_t> ms = {1, 7, 0, 30, 1};
+  std::vector<std::vector<real_t>> rhs;
+  Rng rng(29);
+  for (const index_t m : ms) rhs.push_back(sparse::random_rhs(n, m, rng));
+
+  for (const index_t p : {1, 2, 4}) {
+    const mapping::SubcubeMapping map = mapping::subtree_to_subcube(part, p);
+    for (const bool strict : {false, true}) {
+      for (const Pipelining variant : {kCol, kRow, kFan}) {
+        Options opt;
+        opt.block_size = 3;
+        opt.pipelining = variant;
+        const auto df =
+            partrisolve::DistributedFactor::pack_from(prob.l, map, 3);
+        const DistributedFactor* local = strict ? &df : nullptr;
+        std::vector<std::vector<real_t>> on_sim;
+        for (const Backend kind :
+             {Backend::sim, Backend::threads, Backend::tasks}) {
+          SCOPED_TRACE(testing::Message()
+                       << "p=" << p << " strict=" << strict << " variant="
+                       << static_cast<int>(variant) << " backend="
+                       << static_cast<int>(kind));
+          const auto comm = make_comm(kind, p);
+          const DistributedTrisolver reused(prob.l, local, map, opt);
+          for (std::size_t i = 0; i < ms.size(); ++i) {
+            const index_t m = ms[i];
+            std::vector<real_t> x(rhs[i].size(), 0.0);
+            const auto [fw, bw] = reused.solve(*comm, rhs[i], x, m);
+            expect_same_graph(fw.graph, fw_graph);
+            expect_same_graph(bw.graph, bw_graph);
+
+            const DistributedTrisolver fresh(prob.l, local, map, opt);
+            std::vector<real_t> x_fresh(rhs[i].size(), 0.0);
+            fresh.solve(*comm, rhs[i], x_fresh, m);
+            EXPECT_TRUE(bitwise_equal(x, x_fresh)) << "m=" << m;
+            if (kind == Backend::sim) {
+              on_sim.push_back(x);
+            } else {
+              EXPECT_TRUE(bitwise_equal(x, on_sim[i])) << "m=" << m;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PlanReuse, OverlappingSweepsAreRejected) {
+  // The frontier scratch belongs to one sweep at a time: a sweep started
+  // while another runs on the same trisolver must fail loudly, and the
+  // trisolver must stay usable afterwards.
+  Problem prob = make_grid_problem(7);
+  const index_t n = prob.a.n();
+  const mapping::SubcubeMapping map =
+      mapping::subtree_to_subcube(prob.l.partition(), 2);
+  DistributedTrisolver solver(prob.l, map, Options{});
+  std::vector<real_t> b(static_cast<std::size_t>(n), 1.0);
+  std::vector<real_t> y(b.size(), 0.0);
+  simpar::Machine inner = make_machine(2);
+  solver.set_forward_prologue([&](exec::Process&, index_t) {
+    std::vector<real_t> y2(b.size(), 0.0);
+    solver.backward(inner, b, y2, 1);
+  });
+  simpar::Machine outer = make_machine(2);
+  EXPECT_THROW(solver.forward(outer, b, y, 1), Error);
+  solver.set_forward_prologue({});
+  std::vector<real_t> x(b.size(), 0.0);
+  solver.solve(outer, b, x, 1);
+  EXPECT_LT(trisolve::relative_residual(prob.a, x, b, 1), 1e-9);
+}
+
+TEST(PlanReuse, FusedParallelSolveMatchesUnfused) {
+  // parallel_solve's fused path fills the strict factor storage inside the
+  // forward sweep, after the trisolver built its plan over that storage.
+  const sparse::SymmetricCsc a = sparse::grid2d(17, 15);
+  Rng rng(31);
+  const index_t m = 7;
+  const std::vector<real_t> b = sparse::random_rhs(a.n(), m, rng);
+  solver::Options unfused;
+  unfused.backend = solver::ExecutionBackend::tasks;
+  solver::Options fused = unfused;
+  fused.fuse_redistribution = true;
+  const auto r0 = solver::parallel_solve(a, b, m, 4, unfused);
+  const auto r1 = solver::parallel_solve(a, b, m, 4, fused);
+  EXPECT_TRUE(bitwise_equal(r0.x, r1.x));
+  EXPECT_LT(trisolve::relative_residual(a, r1.x, b, m), 1e-9);
+  expect_same_graph(r1.forward_dag, r0.forward_dag);
+  expect_same_graph(r1.backward_dag, r0.backward_dag);
+  EXPECT_GT(r1.forward_dag.tasks, 0);
 }
 
 TEST(DenseParallelForward, MatchesSequential) {
