@@ -6,26 +6,30 @@
 // `Process` is the handle a rank uses to talk to its peers; `Comm` is the
 // machine that runs p ranks to completion and returns their statistics.
 //
-// Two backends implement this contract:
+// Two kinds of backend implement this contract:
 //   * simpar::Machine — a conservative sequential discrete-event simulator.
 //     Deterministic, cost-model clocks; reproduces the paper's T3D numbers.
-//   * exec::ThreadBackend — each rank is a real std::thread with a
-//     mutex+condvar mailbox; wall-clock timing, real speedup.
+//   * the wall-clock backends — exec::ThreadBackend (a std::thread per
+//     rank), exec::TaskBackend (a fiber per rank on a work-stealing pool)
+//     and exec::SocketBackend (an OS process per rank over TCP).  They
+//     share one accounting class (exec/wall_process.hpp) and one
+//     (src, tag) matcher (exec/mailbox.hpp).
 //
 // SPMD code must not assume more than the contract gives it:
 //   * send() is asynchronous and never blocks waiting for the receiver
-//     (buffered-send semantics on both backends).
+//     (buffered-send semantics on every backend).
 //   * recv() blocks until a message matching (src|kAnySource, tag) exists.
 //     When several match, the backend picks its canonical one (earliest
 //     simulated arrival / first queued); code needing a total order must
 //     disambiguate with tags.
 //   * compute()/compute_at()/elapse() declare work to the backend's clock;
-//     on the threaded backend real time is measured, so these only count
-//     flops.
+//     on the wall-clock backends real time is measured, so these only
+//     count flops.
 #pragma once
 
 #include <cstddef>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <span>
 #include <type_traits>
@@ -207,6 +211,23 @@ inline int error_priority(const std::exception_ptr& err) {
   } catch (...) {
     return 0;
   }
+}
+
+/// Rethrow the root cause among per-rank errors (null = rank succeeded):
+/// the lowest error_priority wins, ties go to the lowest rank.  Returns
+/// normally when every entry is null.
+inline void rethrow_root_cause(std::span<const std::exception_ptr> errors) {
+  const std::exception_ptr* best = nullptr;
+  int best_priority = 3;
+  for (const std::exception_ptr& err : errors) {
+    if (!err) continue;
+    const int priority = error_priority(err);
+    if (priority < best_priority) {
+      best_priority = priority;
+      best = &err;
+    }
+  }
+  if (best != nullptr) std::rethrow_exception(*best);
 }
 
 /// An execution backend: runs an SPMD function on nprocs() ranks.

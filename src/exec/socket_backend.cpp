@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "exec/mailbox.hpp"
+#include "exec/wall_process.hpp"
 #include "exec/wire.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -27,10 +29,6 @@ namespace sparts::exec {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 double env_ms(const char* name, double fallback_s) {
   const char* v = std::getenv(name);
@@ -146,17 +144,12 @@ class SocketSession {
   /// Enqueue a DATA frame for `dst` on the current epoch.
   void post_data(index_t dst, int tag, Payload&& payload);
 
-  struct Match {
-    index_t src = -1;
-    int tag = 0;
-    Payload payload;
-  };
   /// Non-blocking match; throws RemoteAbort/PeerFailure when the session
   /// is failing (pollers must not spin on a dead run).
-  bool try_match(index_t src, int tag, Match* out);
+  bool try_match(index_t src, int tag, ReceivedMessage* out);
   /// Blocking match with the same failure semantics plus the
   /// recv_timeout deadlock backstop.
-  Match recv_match(index_t src, int tag);
+  ReceivedMessage recv_match(index_t src, int tag);
   /// Bounded wait for mailbox traffic; wakes early on arrival or failure.
   void poll_wait(double seconds);
 
@@ -192,7 +185,6 @@ class SocketSession {
   void mark_suspected(PeerState& peer, double age);
   /// Throws RemoteAbort/PeerFailure if the session is failing; mx_ held.
   void check_failures_locked();
-  bool pop_pending_locked(index_t src, int tag, Match* out);
 
   PeerState& peer_state(index_t rank) {
     return *peers_[static_cast<std::size_t>(rank)];
@@ -212,12 +204,12 @@ class SocketSession {
   // ---- mailbox + control plane, guarded by mx_ -----------------------
   std::mutex mx_;
   std::condition_variable cv_;
-  std::deque<Match> pending_;  ///< current-epoch data frames
+  /// Current-epoch data frames, matched by exec::take_match (the reader
+  /// threads are the producers; mx_ guards it and cv_ is the wake-up).
+  std::deque<ReceivedMessage> pending_;
   struct Stashed {
-    index_t src;
     std::uint32_t epoch;
-    int tag;
-    Payload payload;
+    ReceivedMessage msg;
   };
   std::vector<Stashed> stash_;  ///< frames from future epochs
   /// Count of messages ever appended to pending_; poll_wait compares it
@@ -587,12 +579,13 @@ void SocketSession::handle_frame(PeerState& peer, wire::Frame& frame) {
       {
         std::lock_guard<std::mutex> lock(mx_);
         if (frame.epoch == epoch_) {
-          pending_.push_back(
-              Match{peer.rank, frame.tag, std::move(frame.payload)});
+          pending_.push_back(ReceivedMessage{peer.rank, frame.tag,
+                                             std::move(frame.payload)});
           ++arrivals_;
         } else if (frame.epoch > epoch_) {
-          stash_.push_back(Stashed{peer.rank, frame.epoch, frame.tag,
-                                   std::move(frame.payload)});
+          stash_.push_back(Stashed{frame.epoch,
+                                   ReceivedMessage{peer.rank, frame.tag,
+                                                   std::move(frame.payload)}});
         } else {
           ++stale_dropped_;
           stale = true;
@@ -707,8 +700,7 @@ std::uint32_t SocketSession::begin_phase() {
   // Replay frames that raced ahead of this rank into the new epoch.
   for (std::size_t i = 0; i < stash_.size();) {
     if (stash_[i].epoch == epoch_) {
-      pending_.push_back(Match{stash_[i].src, stash_[i].tag,
-                               std::move(stash_[i].payload)});
+      pending_.push_back(std::move(stash_[i].msg));
       ++arrivals_;
       stash_.erase(stash_.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
@@ -791,17 +783,6 @@ void SocketSession::post_data(index_t dst, int tag, Payload&& payload) {
   }
 }
 
-bool SocketSession::pop_pending_locked(index_t src, int tag, Match* out) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->tag == tag && (src == kAnySource || it->src == src)) {
-      *out = std::move(*it);
-      pending_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 void SocketSession::check_failures_locked() {
   if (aborted_) throw RemoteAbort(abort_src_, abort_reason_);
   if (suspect_rank_ >= 0) {
@@ -809,21 +790,21 @@ void SocketSession::check_failures_locked() {
   }
 }
 
-bool SocketSession::try_match(index_t src, int tag, Match* out) {
+bool SocketSession::try_match(index_t src, int tag, ReceivedMessage* out) {
   std::lock_guard<std::mutex> lock(mx_);
-  if (pop_pending_locked(src, tag, out)) return true;
+  if (take_match(pending_, src, tag, out)) return true;
   check_failures_locked();
   return false;
 }
 
-SocketSession::Match SocketSession::recv_match(index_t src, int tag) {
+ReceivedMessage SocketSession::recv_match(index_t src, int tag) {
   std::unique_lock<std::mutex> lock(mx_);
   const Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(config_.recv_timeout));
-  Match out;
+  ReceivedMessage out;
   for (;;) {
-    if (pop_pending_locked(src, tag, &out)) return out;
+    if (take_match(pending_, src, tag, &out)) return out;
     check_failures_locked();
     if (Clock::now() >= deadline) {
       obs::flight_note(static_cast<std::int32_t>(config_.rank),
@@ -1025,163 +1006,41 @@ double SocketBackend::measured_rtt() const {
 
 namespace {
 
-/// The local rank's Process handle for one session epoch.  Same stats
-/// discipline as ThreadBackend::RankProcess: wall time between
-/// communication calls is compute time; idle/send time bracket the
-/// session calls.
-class SocketProcess final : public Process {
+/// The local rank's Process handle for one session epoch: WallProcess
+/// accounting over the session's mailbox, with now() counted from the
+/// start of the phase.
+class SocketProcess final : public WallProcess<SocketProcess> {
  public:
   SocketProcess(SocketSession* session, Clock::time_point phase_start)
-      : session_(session),
-        phase_start_(phase_start),
-        last_mark_(Clock::now()) {}
-
-  index_t rank() const override { return session_->config().rank; }
-  index_t nprocs() const override { return session_->config().nprocs; }
-
-  double now() const override {
-    return seconds_between(phase_start_, Clock::now());
-  }
-
-  void compute(double flops, FlopKind /*kind*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void compute_at(double flops, double /*seconds_per_flop*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void elapse(double seconds) override { SPARTS_CHECK(seconds >= 0.0); }
-
-  void send(index_t dst, int tag,
-            std::span<const std::byte> payload) override {
-    post(dst, tag, Payload(payload.begin(), payload.end()),
-         /*copied_bytes=*/payload.size());
-  }
-
-  void send_owned(index_t dst, int tag, Payload&& payload) override {
-    if (payload.size() < kZeroCopyThreshold) {
-      send(dst, tag, {payload.data(), payload.size()});
-      return;
-    }
-    // Zero-copy lane: the owned buffer rides the outbox into the frame
-    // writer; the wire layer emits header + payload without copying.
-    post(dst, tag, std::move(payload), /*copied_bytes=*/0);
-  }
-
-  ReceivedMessage recv(index_t src, int tag) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    const Clock::time_point t0 = flush_busy();
-    SocketSession::Match msg;
-    if (!session_->try_match(src, tag, &msg)) {
-      obs::flight_note(static_cast<std::int32_t>(rank()), "sock_recv_wait",
-                       static_cast<std::int64_t>(src),
-                       static_cast<std::int64_t>(tag));
-      msg = session_->recv_match(src, tag);
-    }
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(rank());
-      tracer.record_local(r32, obs::EventKind::span_begin,
-                          obs::Category::comm, "recv",
-                          seconds_between(phase_start_, t0),
-                          static_cast<std::int64_t>(msg.payload.size()),
-                          static_cast<std::int64_t>(msg.src));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "recv", seconds_between(phase_start_, t1));
-    }
-    return ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-  }
-
-  bool try_recv(index_t src, int tag, ReceivedMessage* out) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    SPARTS_CHECK(out != nullptr);
-    SocketSession::Match msg;
-    if (!session_->try_match(src, tag, &msg)) return false;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    *out = ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-    return true;
-  }
-
-  void poll_wait(double seconds) override {
-    SPARTS_CHECK(seconds >= 0.0);
-    const Clock::time_point t0 = flush_busy();
-    session_->poll_wait(seconds);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-  }
-
-  const CostModel& cost() const override { return session_->config().cost; }
-  const Topology& topology() const override { return session_->topo(); }
-
-  ProcStats finish() {
-    flush_busy();
-    stats_.clock = now();
-    return stats_;
-  }
+      : WallProcess(session->config().rank, session->config().nprocs,
+                    phase_start, session->config().cost, session->topo()),
+        session_(session) {}
 
  private:
-  void post(index_t dst, int tag, Payload payload, std::size_t copied_bytes) {
-    SPARTS_CHECK(dst >= 0 && dst < nprocs(),
-                 "send destination " << dst << " out of range");
-    const std::size_t bytes = payload.size();
-    const Clock::time_point t0 = flush_busy();
+  friend class WallProcess<SocketProcess>;
+
+  void deliver(index_t dst, int tag, Payload&& payload) {
+    // An owned payload rides the outbox into the frame writer; the wire
+    // layer emits header + payload without copying.
     obs::flight_note(static_cast<std::int32_t>(rank()), "sock_send",
-                     static_cast<std::int64_t>(bytes),
+                     static_cast<std::int64_t>(payload.size()),
                      static_cast<std::int64_t>(dst));
     session_->post_data(dst, tag, std::move(payload));
-    const Clock::time_point t1 = Clock::now();
-    stats_.send_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_sent;
-    stats_.words_sent +=
-        static_cast<nnz_t>((bytes + sizeof(real_t) - 1) / sizeof(real_t));
-    stats_.bytes_copied += static_cast<nnz_t>(copied_bytes);
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(rank());
-      tracer.record_local(r32, obs::EventKind::span_begin,
-                          obs::Category::comm, "send",
-                          seconds_between(phase_start_, t0),
-                          static_cast<std::int64_t>(bytes),
-                          static_cast<std::int64_t>(dst));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "send", seconds_between(phase_start_, t1));
-    }
-    if (obs::metrics_enabled()) {
-      obs::metrics().histogram("comm.message_bytes")
-          .observe(static_cast<std::int64_t>(bytes));
-      obs::metrics()
-          .counter(copied_bytes == 0 ? "comm.zero_copy_bytes"
-                                     : "comm.copied_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-    }
   }
-
-  Clock::time_point flush_busy() {
-    const Clock::time_point t = Clock::now();
-    stats_.compute_time += seconds_between(last_mark_, t);
-    last_mark_ = t;
-    return t;
+  ReceivedMessage take(index_t src, int tag) {
+    ReceivedMessage msg;
+    if (session_->try_match(src, tag, &msg)) return msg;
+    obs::flight_note(static_cast<std::int32_t>(rank()), "sock_recv_wait",
+                     static_cast<std::int64_t>(src),
+                     static_cast<std::int64_t>(tag));
+    return session_->recv_match(src, tag);
   }
+  bool take_now(index_t src, int tag, ReceivedMessage* out) {
+    return session_->try_match(src, tag, out);
+  }
+  void wait(double seconds) { session_->poll_wait(seconds); }
 
   SocketSession* session_;
-  Clock::time_point phase_start_;
-  ProcStats stats_;
-  Clock::time_point last_mark_;
 };
 
 }  // namespace

@@ -38,6 +38,12 @@
 // dropped).  Every run() ends with a rank-0-star barrier whose entry and
 // release frames self-heal (they are re-sent until answered), so a lossy
 // network delays the barrier instead of wedging it.
+//
+// The local rank's Process is an exec::WallProcess (wall_process.hpp, the
+// accounting shared with the thread and task backends).  Data frames of
+// the current epoch wait in the session's pending list, matched by
+// exec::take_match (mailbox.hpp) under the session mutex; a receiver with
+// no match sleeps on the condition variable the reader threads signal.
 #pragma once
 
 #include <memory>

@@ -5,10 +5,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 
+#include "exec/mailbox.hpp"
+#include "exec/wall_process.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -45,25 +46,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double seconds_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
 std::size_t env_stack_kb() {
   const char* v = std::getenv("SPARTS_TASK_STACK_KB");
   if (v == nullptr || *v == '\0') return 0;
   const long kb = std::strtol(v, nullptr, 10);
   return kb > 0 ? static_cast<std::size_t>(kb) : 0;
 }
-
-bool env_spsc_enabled() {
-  const char* v = std::getenv("SPARTS_SPSC");
-  if (v == nullptr || *v == '\0') return true;
-  return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0);
-}
-
-/// Rings are O(p^2); past this rank count fall back to the locked mailboxes.
-constexpr index_t kMaxRingRanks = 128;
 
 /// Executed-profile safety valve: a run with more fiber segments than
 /// this stops appending (the critical path of a solve is decided long
@@ -102,9 +90,12 @@ struct TaskBackend::Fiber {
   // Wait descriptor, valid while pause == blocked.
   index_t wait_src = 0;
   int wait_tag = 0;
-  /// Drained-but-unmatched messages, private to this fiber's executor
-  /// (the fiber itself, or its worker while the fiber is suspended).
-  std::deque<Message> pending;
+  /// This rank's mailbox.  The consumer side is private to the fiber's
+  /// executor (the fiber itself, or its worker in resume() while the
+  /// fiber is suspended): the scheduler hands a fiber to one executor at
+  /// a time, so the SPSC consumer role is preserved.  The overflow queue
+  /// is guarded by state_mutex_.
+  std::unique_ptr<Mailbox<>> mail;
   /// Context fully saved and registered as waiting — only then may a
   /// sender re-ready the fiber.  All transitions happen under
   /// state_mutex_; atomic so deliver() can probe it lock-free after its
@@ -127,7 +118,6 @@ struct TaskBackend::Fiber {
 
   std::unique_ptr<FiberProcess> proc;
   ProcStats stats;
-  std::exception_ptr error;
 
 #ifdef SPARTS_TSAN_FIBERS
   void* tsan_fiber = nullptr;
@@ -173,160 +163,30 @@ void TaskBackend::switch_out_of_fiber(Fiber& f) {
 // FiberProcess — the Process implementation handed to SPMD code
 // ---------------------------------------------------------------------------
 
-// Stats accounting mirrors ThreadBackend::RankProcess: wall time between
-// communication calls is compute time, time suspended in recv is idle
-// time.  Fibers are non-preemptive, so between communication calls a rank
-// runs uninterrupted and the wall interval is honestly its own.
-class TaskBackend::FiberProcess final : public Process {
+// WallProcess accounting over the fiber's mailbox.  Fibers are
+// non-preemptive, so between communication calls a rank runs
+// uninterrupted and the wall interval is honestly its own compute time;
+// time suspended in recv is idle time.
+class TaskBackend::FiberProcess final : public WallProcess<FiberProcess> {
  public:
   FiberProcess(TaskBackend* backend, Fiber* fiber)
-      : backend_(backend), fiber_(fiber), last_mark_(Clock::now()) {}
-
-  index_t rank() const override { return fiber_->rank; }
-  index_t nprocs() const override { return backend_->config_.nprocs; }
-
-  double now() const override {
-    return seconds_between(backend_->epoch_, Clock::now());
-  }
-
-  void compute(double flops, FlopKind /*kind*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void compute_at(double flops, double /*seconds_per_flop*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void elapse(double seconds) override { SPARTS_CHECK(seconds >= 0.0); }
-
-  void send(index_t dst, int tag,
-            std::span<const std::byte> payload) override {
-    // Copy lane: capture the payload into a fresh (arena) buffer.
-    post(dst, tag, Payload(payload.begin(), payload.end()),
-         /*copied_bytes=*/payload.size());
-  }
-
-  void send_owned(index_t dst, int tag, Payload&& payload) override {
-    if (payload.size() < kZeroCopyThreshold) {
-      send(dst, tag, {payload.data(), payload.size()});
-      return;
-    }
-    // Zero-copy lane: the buffer itself travels through the ring.
-    post(dst, tag, std::move(payload), /*copied_bytes=*/0);
-  }
-
-  ReceivedMessage recv(index_t src, int tag) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    const Clock::time_point t0 = flush_busy();
-    Message msg = backend_->take_match(*fiber_, src, tag);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(fiber_->rank);
-      tracer.record_local(r32, obs::EventKind::span_begin, obs::Category::comm,
-                          "recv", seconds_between(backend_->epoch_, t0),
-                          static_cast<std::int64_t>(msg.payload.size()),
-                          static_cast<std::int64_t>(msg.src));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "recv", seconds_between(backend_->epoch_, t1));
-    }
-    return ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-  }
-
-  bool try_recv(index_t src, int tag, ReceivedMessage* out) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    SPARTS_CHECK(out != nullptr);
-    Message msg;
-    if (!backend_->take_match_now(*fiber_, src, tag, &msg)) return false;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    *out = ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-    return true;
-  }
-
-  void poll_wait(double seconds) override {
-    SPARTS_CHECK(seconds >= 0.0);
-    const Clock::time_point t0 = flush_busy();
-    backend_->fiber_poll_wait(*fiber_, seconds);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-  }
-
-  const CostModel& cost() const override { return backend_->config_.cost; }
-  const Topology& topology() const override { return backend_->topology_; }
-
-  /// Re-anchor the compute clock at the moment SPMD code actually starts.
-  /// The constructor runs on the host thread during run()'s setup loop, so
-  /// without this the first compute segment would absorb the host-side
-  /// fiber-creation time plus however long the fiber sat queued before a
-  /// worker first resumed it.
-  void mark_started() { last_mark_ = Clock::now(); }
-
-  /// Close the final busy segment and stamp the finishing time.
-  ProcStats finish() {
-    flush_busy();
-    stats_.clock = now();
-    return stats_;
-  }
+      : WallProcess(fiber->rank, backend->config_.nprocs, backend->epoch_,
+                    backend->config_.cost, backend->topology_),
+        backend_(*backend),
+        fiber_(*fiber) {}
 
  private:
-  /// Shared tail of both send lanes: deliver + stats + tracing.
-  void post(index_t dst, int tag, Payload payload, std::size_t copied_bytes) {
-    SPARTS_CHECK(dst >= 0 && dst < nprocs(),
-                 "send destination " << dst << " out of range");
-    const std::size_t bytes = payload.size();
-    const Clock::time_point t0 = flush_busy();
-    backend_->deliver(*fiber_, dst, Message{fiber_->rank, tag,
-                                            std::move(payload)});
-    const Clock::time_point t1 = Clock::now();
-    stats_.send_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_sent;
-    stats_.words_sent +=
-        static_cast<nnz_t>((bytes + sizeof(real_t) - 1) / sizeof(real_t));
-    stats_.bytes_copied += static_cast<nnz_t>(copied_bytes);
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(fiber_->rank);
-      tracer.record_local(r32, obs::EventKind::span_begin, obs::Category::comm,
-                          "send", seconds_between(backend_->epoch_, t0),
-                          static_cast<std::int64_t>(bytes),
-                          static_cast<std::int64_t>(dst));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "send", seconds_between(backend_->epoch_, t1));
-    }
-    if (obs::metrics_enabled()) {
-      obs::metrics().histogram("comm.message_bytes")
-          .observe(static_cast<std::int64_t>(bytes));
-      obs::metrics()
-          .counter(copied_bytes == 0 ? "comm.zero_copy_bytes"
-                                     : "comm.copied_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-    }
-  }
+  friend class WallProcess<FiberProcess>;
 
-  Clock::time_point flush_busy() {
-    const Clock::time_point t = Clock::now();
-    stats_.compute_time += seconds_between(last_mark_, t);
-    last_mark_ = t;
-    return t;
-  }
+  // take() suspends the fiber until a match arrives; deliver() re-readies
+  // a receiver parked on a wait the message satisfies; wait() yields once.
+  void deliver(index_t dst, int tag, Payload&& payload);
+  ReceivedMessage take(index_t src, int tag);
+  bool take_now(index_t src, int tag, ReceivedMessage* out);
+  void wait(double seconds);
 
-  TaskBackend* backend_;
-  Fiber* fiber_;
-  ProcStats stats_;
-  Clock::time_point last_mark_;
+  TaskBackend& backend_;
+  Fiber& fiber_;
 };
 
 // ---------------------------------------------------------------------------
@@ -358,7 +218,7 @@ void TaskBackend::fiber_main(Fiber& f) {
   try {
     (*f.spmd)(*f.proc);
   } catch (...) {
-    f.error = std::current_exception();
+    errors_[static_cast<std::size_t>(f.rank)] = std::current_exception();
     obs::flight_note(static_cast<std::int32_t>(f.rank), "rank_failed");
     std::lock_guard<std::mutex> lock(state_mutex_);
     abort_all_locked("task backend run aborted: rank " +
@@ -478,9 +338,7 @@ void TaskBackend::resume(Fiber& f, const JobContext& ctx) {
       if (aborted_) {
         if (!f.abort_on_resume) {
           f.abort_on_resume = true;
-          f.abort_msg = "task backend run aborted: rank " +
-                        std::to_string(f.rank) +
-                        " was waiting in recv when another rank failed";
+          f.abort_msg = run_aborted("task", f.rank, "waiting in recv").what();
         }
         lock.unlock();
         schedule(f, ctx.worker);
@@ -491,9 +349,8 @@ void TaskBackend::resume(Fiber& f, const JobContext& ctx) {
       // or probes parked after our store (it sees true and unparks us).
       f.parked.store(true, std::memory_order_seq_cst);
       std::atomic_thread_fence(std::memory_order_seq_cst);
-      drain_overflow_locked(f);
-      drain_rings(f);
-      if (match_pending(f, f.wait_src, f.wait_tag, /*pop=*/false, nullptr)) {
+      f.mail->drain_locked();
+      if (f.mail->has_match(f.wait_src, f.wait_tag)) {
         f.parked.store(false, std::memory_order_relaxed);
         lock.unlock();
         schedule(f, ctx.worker);
@@ -510,43 +367,6 @@ void TaskBackend::resume(Fiber& f, const JobContext& ctx) {
     case Fiber::Pause::none:
       SPARTS_CHECK(false, "fiber suspended without a pause reason");
   }
-}
-
-bool TaskBackend::drain_rings(Fiber& f) {
-  if (!rings_on_) return false;
-  bool any = false;
-  Message m;
-  for (index_t s = 0; s < config_.nprocs; ++s) {
-    while (ring(s, f.rank).try_pop(&m)) {
-      f.pending.push_back(std::move(m));
-      any = true;
-    }
-  }
-  return any;
-}
-
-bool TaskBackend::drain_overflow_locked(Fiber& f) {
-  auto& box = mailboxes_[static_cast<std::size_t>(f.rank)];
-  if (box.empty()) return false;
-  while (!box.empty()) {
-    f.pending.push_back(std::move(box.front()));
-    box.pop_front();
-  }
-  return true;
-}
-
-bool TaskBackend::match_pending(Fiber& f, index_t src, int tag, bool pop,
-                                Message* out) {
-  for (auto it = f.pending.begin(); it != f.pending.end(); ++it) {
-    if (it->tag == tag && (src == kAnySource || it->src == src)) {
-      if (pop) {
-        *out = std::move(*it);
-        f.pending.erase(it);
-      }
-      return true;
-    }
-  }
-  return false;
 }
 
 void TaskBackend::abort_all_locked(const std::string& reason) {
@@ -585,68 +405,80 @@ void TaskBackend::check_stalled_locked() {
                    "recv (" + who + ") and no sender can run");
 }
 
-TaskBackend::Message TaskBackend::take_match(Fiber& f, index_t src, int tag) {
+ReceivedMessage TaskBackend::FiberProcess::take(index_t src, int tag) {
+  ReceivedMessage out;
   for (;;) {
     // Fast path: drain own rings and match without the state mutex.
-    drain_rings(f);
-    Message out;
-    if (match_pending(f, src, tag, /*pop=*/true, &out)) return out;
+    fiber_.mail->drain_rings();
+    if (fiber_.mail->take(src, tag, &out)) return out;
     {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (f.abort_on_resume) {
-        f.abort_on_resume = false;
-        throw DeadlockError(f.abort_msg);
+      std::lock_guard<std::mutex> lock(backend_.state_mutex_);
+      if (fiber_.abort_on_resume) {
+        fiber_.abort_on_resume = false;
+        throw DeadlockError(fiber_.abort_msg);
       }
-      if (aborted_) {
-        throw DeadlockError("task backend run aborted: rank " +
-                            std::to_string(f.rank) +
-                            " was waiting in recv when another rank failed");
+      if (backend_.aborted_) {
+        throw run_aborted("task", rank(), "waiting in recv");
       }
-      drain_overflow_locked(f);
-      if (match_pending(f, src, tag, /*pop=*/true, &out)) return out;
-      f.wait_src = src;
-      f.wait_tag = tag;
-      f.pause = Fiber::Pause::blocked;
+      fiber_.mail->drain_locked();
+      if (fiber_.mail->take(src, tag, &out)) return out;
+      fiber_.wait_src = src;
+      fiber_.wait_tag = tag;
+      fiber_.pause = Fiber::Pause::blocked;
     }
-    obs::flight_note(static_cast<std::int32_t>(f.rank), "recv_wait",
+    obs::flight_note(static_cast<std::int32_t>(rank()), "recv_wait",
                      static_cast<std::int64_t>(src),
                      static_cast<std::int64_t>(tag));
     // Unlocked handoff: the worker re-checks the mailbox under the lock
     // once the context is parked, so a send racing with this suspend is
     // never lost (senders only re-ready fibers whose parked flag is set).
-    switch_out_of_fiber(f);
+    switch_out_of_fiber(fiber_);
     if (obs::Tracer::enabled()) {
       obs::Tracer::instance().record_local(
-          static_cast<std::int32_t>(f.rank), obs::EventKind::instant,
+          static_cast<std::int32_t>(rank()), obs::EventKind::instant,
           obs::Category::task, "task_ready",
-          seconds_between(epoch_, Clock::now()), static_cast<std::int64_t>(tag));
+          seconds_between(backend_.epoch_, Clock::now()),
+          static_cast<std::int64_t>(tag));
     }
   }
 }
 
-bool TaskBackend::take_match_now(Fiber& f, index_t src, int tag,
-                                 Message* out) {
-  drain_rings(f);
+bool TaskBackend::FiberProcess::take_now(index_t src, int tag,
+                                         ReceivedMessage* out) {
+  fiber_.mail->drain_rings();
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (aborted_) {
-      throw DeadlockError("task backend run aborted: rank " +
-                          std::to_string(f.rank) +
-                          " was polling when another rank failed");
-    }
-    drain_overflow_locked(f);
+    std::lock_guard<std::mutex> lock(backend_.state_mutex_);
+    if (backend_.aborted_) throw run_aborted("task", rank(), "polling");
+    fiber_.mail->drain_locked();
   }
-  return match_pending(f, src, tag, /*pop=*/true, out);
+  return fiber_.mail->take(src, tag, out);
 }
 
-void TaskBackend::deliver(Fiber& sender, index_t dst, Message msg) {
-  const int tag = msg.tag;
-  const auto bytes = static_cast<std::int64_t>(msg.payload.size());
-  obs::flight_note(static_cast<std::int32_t>(sender.rank), "send", bytes,
+void TaskBackend::wake_if_waiting_locked(Fiber& d, const Fiber& sender,
+                                         int tag) {
+  if (!d.parked.load(std::memory_order_relaxed) ||
+      !matches(sender.rank, tag, d.wait_src, d.wait_tag)) {
+    return;
+  }
+  d.parked.store(false, std::memory_order_relaxed);
+  --blocked_;
+  d.wake_from = sender.cur_seg;
+  if (obs::metrics_enabled()) obs::metrics().counter("msgpath.wakes").add(1);
+  // Re-ready on the sending fiber's worker: the payload is hot in its
+  // cache, and the LIFO deque runs the consumer as soon as the sender
+  // next suspends — producer-consumer chains execute depth-first.
+  schedule(d, /*affinity=*/-1);
+}
+
+void TaskBackend::FiberProcess::deliver(index_t dst, int tag,
+                                         Payload&& payload) {
+  obs::flight_note(static_cast<std::int32_t>(rank()), "send",
+                   static_cast<std::int64_t>(payload.size()),
                    static_cast<std::int64_t>(dst));
+  ReceivedMessage msg{rank(), tag, std::move(payload)};
   const bool metrics_on = obs::metrics_enabled();
-  Fiber& d = *fibers_[static_cast<std::size_t>(dst)];
-  if (rings_on_ && ring(sender.rank, dst).try_push(msg)) {
+  Fiber& d = *backend_.fibers_[static_cast<std::size_t>(dst)];
+  if (d.mail->try_push_ring(msg)) {
     if (metrics_on) obs::metrics().counter("msgpath.ring_hit").add(1);
     // Dekker handshake with the consumer's park sequence in resume():
     // the seq_cst fence orders our ring publish before the parked probe,
@@ -654,35 +486,18 @@ void TaskBackend::deliver(Fiber& sender, index_t dst, Message msg) {
     // drain sees our message.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (!d.parked.load(std::memory_order_relaxed)) return;
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (d.parked.load(std::memory_order_relaxed) && d.wait_tag == tag &&
-        (d.wait_src == kAnySource || d.wait_src == sender.rank)) {
-      d.parked.store(false, std::memory_order_relaxed);
-      --blocked_;
-      d.wake_from = sender.cur_seg;
-      if (metrics_on) obs::metrics().counter("msgpath.wakes").add(1);
-      // Re-ready on the sending fiber's worker: the payload is hot in its
-      // cache, and the LIFO deque runs the consumer as soon as the sender
-      // next suspends — producer-consumer chains execute depth-first.
-      schedule(d, /*affinity=*/-1);
-    }
+    std::lock_guard<std::mutex> lock(backend_.state_mutex_);
+    backend_.wake_if_waiting_locked(d, fiber_, tag);
     return;
   }
   // Ring full or fast path off: locked overflow queue.
   if (metrics_on) obs::metrics().counter("msgpath.spill").add(1);
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  mailboxes_[static_cast<std::size_t>(dst)].push_back(std::move(msg));
-  if (d.parked.load(std::memory_order_relaxed) && d.wait_tag == tag &&
-      (d.wait_src == kAnySource || d.wait_src == sender.rank)) {
-    d.parked.store(false, std::memory_order_relaxed);
-    --blocked_;
-    d.wake_from = sender.cur_seg;
-    if (metrics_on) obs::metrics().counter("msgpath.wakes").add(1);
-    schedule(d, /*affinity=*/-1);
-  }
+  std::lock_guard<std::mutex> lock(backend_.state_mutex_);
+  d.mail->push_overflow_locked(std::move(msg));
+  backend_.wake_if_waiting_locked(d, fiber_, tag);
 }
 
-void TaskBackend::fiber_poll_wait(Fiber& f, double /*seconds*/) {
+void TaskBackend::FiberProcess::wait(double /*seconds*/) {
   // A fiber cannot sleep wall-clock time without wedging its worker, and
   // it does not need to: yielding reschedules it behind every runnable
   // peer, so by the time it runs again anything that could arrive "soon"
@@ -690,22 +505,16 @@ void TaskBackend::fiber_poll_wait(Fiber& f, double /*seconds*/) {
   // elapsed wait as backend time, which for this backend is simply the
   // time the other fibers used.
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (aborted_) {
-      throw DeadlockError("task backend run aborted: rank " +
-                          std::to_string(f.rank) +
-                          " was polling when another rank failed");
-    }
-    if (live_ <= 1) return;  // no peer can send: don't bother yielding
-    f.pause = Fiber::Pause::yielded;
+    std::lock_guard<std::mutex> lock(backend_.state_mutex_);
+    if (backend_.aborted_) throw run_aborted("task", rank(), "polling");
+    if (backend_.live_ <= 1) return;  // no peer can send: do not yield
+    fiber_.pause = Fiber::Pause::yielded;
   }
-  switch_out_of_fiber(f);
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  if (f.abort_on_resume || aborted_) {
-    f.abort_on_resume = false;
-    throw DeadlockError("task backend run aborted: rank " +
-                        std::to_string(f.rank) +
-                        " was polling when another rank failed");
+  switch_out_of_fiber(fiber_);
+  std::lock_guard<std::mutex> lock(backend_.state_mutex_);
+  if (fiber_.abort_on_resume || backend_.aborted_) {
+    fiber_.abort_on_resume = false;
+    throw run_aborted("task", rank(), "polling");
   }
 }
 
@@ -714,14 +523,18 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
   running_ = true;
   aborted_ = false;
   const index_t p = config_.nprocs;
-  mailboxes_.assign(static_cast<std::size_t>(p), {});
-  rings_on_ = env_spsc_enabled() && p <= kMaxRingRanks;
-  rings_ = rings_on_ ? std::make_unique<SpscRing<Message>[]>(
-                           static_cast<std::size_t>(p) *
-                           static_cast<std::size_t>(p))
-                     : nullptr;
+  errors_.assign(static_cast<std::size_t>(p), nullptr);
   fibers_.clear();
   fibers_.reserve(static_cast<std::size_t>(p));
+  // Fibers and their mailboxes' ring lanes are built before the run clock
+  // starts, as the thread backend's mailboxes are; stacks and contexts
+  // below are part of the run.
+  for (index_t r = 0; r < p; ++r) {
+    auto f = std::make_unique<Fiber>();
+    f->rank = r;
+    f->mail = std::make_unique<Mailbox<>>(p, spsc_enabled(true));
+    fibers_.push_back(std::move(f));
+  }
   live_ = p;
   blocked_ = 0;
   {
@@ -736,9 +549,7 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
   Latch done(p);
   done_ = &done;
 
-  for (index_t r = 0; r < p; ++r) {
-    auto f = std::make_unique<Fiber>();
-    f->rank = r;
+  for (auto& f : fibers_) {
     f->backend = this;
     f->spmd = &spmd;
     // for_overwrite: value-initializing the stack would memset 1 MiB per
@@ -758,17 +569,19 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
 #ifdef SPARTS_TSAN_FIBERS
     f->tsan_fiber = __tsan_create_fiber(0);
 #endif
-    fibers_.push_back(std::move(f));
   }
 
   // Topology-aware placement: contiguous rank blocks per worker, so the
   // subtree-to-subcube mapping's neighbouring ranks start on the same
   // worker (and, via the scheduler's victim order, stay within a steal
-  // cluster when they overflow).
+  // cluster when they overflow).  The first wave goes to the steal end of
+  // each deque: an owner then starts its ranks in rank order even if it
+  // wakes before this loop finishes, so a one-worker run follows the same
+  // schedule every time.
   const int w = scheduler_->workers();
   for (index_t r = 0; r < p; ++r) {
     schedule(*fibers_[static_cast<std::size_t>(r)],
-             static_cast<int>((r * w) / p));
+             static_cast<int>((r * w) / p), /*low_priority=*/true);
   }
 
   done.wait();
@@ -777,25 +590,11 @@ RunStats TaskBackend::run(const std::function<void(Process&)>& spmd) {
   done_ = nullptr;
   running_ = false;
 
-  std::exception_ptr best_error;
-  int best_priority = 3;
-  for (const auto& f : fibers_) {
-    if (!f->error) continue;
-    const int priority = error_priority(f->error);
-    if (priority < best_priority) {
-      best_priority = priority;
-      best_error = f->error;
-    }
-  }
-  if (best_error) {
-    fibers_.clear();
-    std::rethrow_exception(best_error);
-  }
-
   RunStats out;
   out.procs.reserve(static_cast<std::size_t>(p));
   for (auto& f : fibers_) out.procs.push_back(f->stats);
   fibers_.clear();
+  rethrow_root_cause(errors_);
   if (obs::Tracer::enabled()) {
     obs::Tracer::instance().end_run(out.parallel_time());
   }

@@ -14,14 +14,15 @@
 // trees (chains, wide flat forests) where ThreadBackend's p threads spend
 // their lives parked at merge points — see bench/bench_taskdag.cpp.
 //
-// Semantics are those of the Process contract, matching ThreadBackend:
-//   * buffered sends, blocking tag-matched recv, try_recv polling;
-//   * compute()/compute_at() count flops; times are wall-clock seconds;
-//   * per-rank ProcStats with the same busy/idle accounting;
-//   * an exception on one rank aborts the run (blocked peers unwind with
-//     a secondary DeadlockError) and run() rethrows the root cause.
-// Because the repo's message discipline keeps every in-flight (src, dst,
-// tag) unique — and no solver code receives from kAnySource — any correct
+// Ranks are exec::WallProcess objects (the accounting of ThreadBackend)
+// and each fiber owns an exec::Mailbox whose overflow queue is guarded by
+// state_mutex_.  The wake protocol is this backend's own: a receiver with
+// no match parks its fiber (the `parked` flag), and a sender re-readies it
+// through a seq_cst publish/probe handshake after its ring push.  An
+// exception on one rank aborts the run (blocked peers unwind with a
+// secondary DeadlockError) and run() rethrows the root cause.  Because
+// the repo's message discipline keeps every in-flight (src, dst, tag)
+// unique — and no solver code receives from kAnySource — any correct
 // backend matches the same sends to the same recvs, so a solve on this
 // backend is bit-identical to one on ThreadBackend or the simulator.
 //
@@ -31,12 +32,6 @@
 // aborts with DeadlockError (this subsumes ThreadBackend's "every other
 // rank already finished" rule).
 //
-// Message path: like ThreadBackend, messages travel through per-(src,dst)
-// lock-free SPSC rings (spsc_ring.hpp) and a parked receiver is re-readied
-// through a seq_cst publish/probe handshake against the sender; the locked
-// per-rank mailbox is the ring-overflow fallback.  send_owned() moves the
-// payload buffer through the ring (zero-copy for large panels).
-//
 // Tuning knobs (environment): SPARTS_TASK_WORKERS, SPARTS_TASK_CLUSTER
 // (see task_scheduler.hpp), SPARTS_TASK_STACK_KB (per-fiber stack,
 // default 1024) and SPARTS_SPSC=off (disable the ring fast path).
@@ -45,7 +40,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -53,7 +47,6 @@
 #include <vector>
 
 #include "exec/process.hpp"
-#include "exec/spsc_ring.hpp"
 #include "exec/task_scheduler.hpp"
 #include "exec/waitgroup.hpp"
 #include "obs/critical_path.hpp"
@@ -99,13 +92,6 @@ class TaskBackend final : public Comm {
  private:
   struct Fiber;
   class FiberProcess;
-  friend class FiberProcess;
-
-  struct Message {
-    index_t src;
-    int tag;
-    Payload payload;
-  };
 
   /// Job body: run `f` until it suspends or finishes, then file it.
   void resume(Fiber& f, const JobContext& ctx);
@@ -114,32 +100,9 @@ class TaskBackend final : public Comm {
   /// Entry point of every fiber (runs on its own stack).
   void fiber_main(Fiber& f);
 
-  /// Blocking receive for a fiber: suspends until a match arrives.
-  Message take_match(Fiber& f, index_t src, int tag);
-  /// Non-blocking receive; throws DeadlockError when the run is aborted.
-  bool take_match_now(Fiber& f, index_t src, int tag, Message* out);
-  /// Deliver to `dst`'s mailbox, waking its fiber if the message matches
-  /// the wait it is parked on.
-  void deliver(Fiber& sender, index_t dst, Message msg);
-  /// Responsive sleep: yields the fiber once (see Process::poll_wait).
-  void fiber_poll_wait(Fiber& f, double seconds);
-
-  /// Consumer side, lock-free: move everything from rank `f`'s rings into
-  /// its private pending list.  Safe from the fiber itself or (while it is
-  /// suspended) from the worker in resume(): the scheduler hands a fiber
-  /// to one executor at a time, so the SPSC consumer role is preserved.
-  bool drain_rings(Fiber& f);
-  /// Consumer side, under state_mutex_: splice ring-overflow messages
-  /// (and everything when rings are off) into the pending list.
-  bool drain_overflow_locked(Fiber& f);
-  /// Scan `f`'s pending list for the first (src|kAnySource, tag) match.
-  bool match_pending(Fiber& f, index_t src, int tag, bool pop, Message* out);
-  /// The SPSC ring carrying src→dst traffic (valid when rings_on_).
-  SpscRing<Message>& ring(index_t src, index_t dst) {
-    return rings_[static_cast<std::size_t>(dst) *
-                      static_cast<std::size_t>(config_.nprocs) +
-                  static_cast<std::size_t>(src)];
-  }
+  /// Under state_mutex_: re-ready `d` if it is parked on a wait that a
+  /// message from `sender` with `tag` satisfies.
+  void wake_if_waiting_locked(Fiber& d, const Fiber& sender, int tag);
   /// Abort the run: mark it dead and re-ready every parked fiber so it
   /// unwinds with DeadlockError.  Idempotent.
   void abort_all_locked(const std::string& reason);
@@ -159,15 +122,9 @@ class TaskBackend final : public Comm {
   // --- per-run state -------------------------------------------------
   std::unique_ptr<TaskScheduler> scheduler_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  /// Ring-overflow queues, one per destination rank (every message when
-  /// the ring fast path is off).  Guarded by state_mutex_.
-  std::vector<std::deque<Message>> mailboxes_;
-  /// p*p SPSC rings, src→dst at rings_[dst*p + src]; null when the fast
-  /// path is off (SPARTS_SPSC=off or nprocs too large).
-  std::unique_ptr<SpscRing<Message>[]> rings_;
-  bool rings_on_ = false;
-  /// Guards mailboxes_, fiber park/abort flags and the live/blocked
-  /// counters.  Never held across a context switch.
+  std::vector<std::exception_ptr> errors_;  ///< per rank, null on success
+  /// Guards the mailboxes' overflow queues, fiber park/abort flags and
+  /// the live/blocked counters.  Never held across a context switch.
   std::mutex state_mutex_;
   index_t live_ = 0;     ///< fibers still inside spmd()
   index_t blocked_ = 0;  ///< fibers parked in recv

@@ -1,13 +1,12 @@
 #include "exec/thread_backend.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdlib>
-#include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "exec/wall_process.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,17 +16,6 @@ namespace sparts::exec {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-/// Rings are O(p^2) per backend; past this rank count fall back to the
-/// locked mailboxes (which are O(p)).
-constexpr index_t kMaxRingRanks = 128;
-// Mailbox::ring_hint is 2 x 64 bits, one bit per possible ring source.
-static_assert(kMaxRingRanks <= 128,
-              "ring_hint words must cover every ring source rank");
 
 /// Yield-based spin budget before parking.  yield (not pause): rank
 /// threads routinely oversubscribe the cores, so giving the scheduler the
@@ -52,164 +40,36 @@ int spin_budget(index_t nprocs) {
 /// also bounds the cost of any missed edge to one slice.
 constexpr auto kParkSlice = std::chrono::milliseconds(5);
 
-bool env_spsc_default(bool config_default) {
-  const char* v = std::getenv("SPARTS_SPSC");
-  if (v == nullptr || *v == '\0') return config_default;
-  return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // RankProcess
 // ---------------------------------------------------------------------------
 
-// The per-thread Process implementation.  All mutable state (stats, the
-// busy-time mark) is owned by the rank's thread; run() reads it only after
-// join(), so no locking is needed here.
-class ThreadBackend::RankProcess final : public Process {
+// The per-thread Process: WallProcess accounting plus this backend's
+// hooks.  All mutable state is owned by the rank's thread; run() reads the
+// stats only after join(), so no locking is needed here.
+class ThreadBackend::RankProcess final : public WallProcess<RankProcess> {
  public:
   RankProcess(ThreadBackend* backend, index_t rank)
-      : backend_(backend), rank_(rank), last_mark_(Clock::now()) {}
-
-  index_t rank() const override { return rank_; }
-  index_t nprocs() const override { return backend_->config_.nprocs; }
-
-  double now() const override {
-    return seconds_between(backend_->epoch_, Clock::now());
-  }
-
-  void compute(double flops, FlopKind /*kind*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void compute_at(double flops, double /*seconds_per_flop*/) override {
-    SPARTS_CHECK(flops >= 0.0);
-    stats_.flops += static_cast<nnz_t>(flops);
-  }
-
-  void elapse(double seconds) override { SPARTS_CHECK(seconds >= 0.0); }
-
-  void send(index_t dst, int tag,
-            std::span<const std::byte> payload) override {
-    // Copy lane: capture the payload into a fresh (arena) buffer.
-    post(dst, tag, Payload(payload.begin(), payload.end()),
-         /*copied_bytes=*/payload.size());
-  }
-
-  void send_owned(index_t dst, int tag, Payload&& payload) override {
-    if (payload.size() < kZeroCopyThreshold) {
-      send(dst, tag, {payload.data(), payload.size()});
-      return;
-    }
-    // Zero-copy lane: the buffer itself travels through the ring.
-    post(dst, tag, std::move(payload), /*copied_bytes=*/0);
-  }
-
-  ReceivedMessage recv(index_t src, int tag) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    const Clock::time_point t0 = flush_busy();
-    Message msg = backend_->take_match(rank_, src, tag);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(rank_);
-      tracer.record_local(r32, obs::EventKind::span_begin, obs::Category::comm,
-                          "recv", seconds_between(backend_->epoch_, t0),
-                          static_cast<std::int64_t>(msg.payload.size()),
-                          static_cast<std::int64_t>(msg.src));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "recv", seconds_between(backend_->epoch_, t1));
-    }
-    return ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-  }
-
-  bool try_recv(index_t src, int tag, ReceivedMessage* out) override {
-    SPARTS_CHECK(src == kAnySource || (src >= 0 && src < nprocs()),
-                 "recv source " << src << " out of range");
-    SPARTS_CHECK(out != nullptr);
-    Message msg;
-    if (!backend_->take_match_now(rank_, src, tag, &msg)) return false;
-    ++stats_.messages_received;
-    stats_.words_received += static_cast<nnz_t>(
-        (msg.payload.size() + sizeof(real_t) - 1) / sizeof(real_t));
-    *out = ReceivedMessage{msg.src, msg.tag, std::move(msg.payload)};
-    return true;
-  }
-
-  void poll_wait(double seconds) override {
-    SPARTS_CHECK(seconds >= 0.0);
-    const Clock::time_point t0 = flush_busy();
-    backend_->wait_on_mailbox(rank_, seconds);
-    const Clock::time_point t1 = Clock::now();
-    stats_.idle_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-  }
-
-  const CostModel& cost() const override { return backend_->config_.cost; }
-  const Topology& topology() const override { return backend_->topology_; }
-
-  /// Close the final busy segment and stamp the finishing time.
-  ProcStats finish() {
-    flush_busy();
-    stats_.clock = now();
-    return stats_;
-  }
+      : WallProcess(rank, backend->config_.nprocs, backend->epoch_,
+                    backend->config_.cost, backend->topology_),
+        backend_(*backend),
+        box_(*backend->inboxes_[static_cast<std::size_t>(rank)]) {}
 
  private:
-  /// Shared tail of both send lanes: deliver + stats + tracing.
-  void post(index_t dst, int tag, Payload payload, std::size_t copied_bytes) {
-    SPARTS_CHECK(dst >= 0 && dst < nprocs(),
-                 "send destination " << dst << " out of range");
-    const std::size_t bytes = payload.size();
-    const Clock::time_point t0 = flush_busy();
-    backend_->deliver(dst, Message{rank_, tag, std::move(payload)});
-    const Clock::time_point t1 = Clock::now();
-    stats_.send_time += seconds_between(t0, t1);
-    last_mark_ = t1;
-    ++stats_.messages_sent;
-    stats_.words_sent +=
-        static_cast<nnz_t>((bytes + sizeof(real_t) - 1) / sizeof(real_t));
-    stats_.bytes_copied += static_cast<nnz_t>(copied_bytes);
-    if (obs::Tracer::enabled()) {
-      auto& tracer = obs::Tracer::instance();
-      const auto r32 = static_cast<std::int32_t>(rank_);
-      tracer.record_local(r32, obs::EventKind::span_begin, obs::Category::comm,
-                          "send", seconds_between(backend_->epoch_, t0),
-                          static_cast<std::int64_t>(bytes),
-                          static_cast<std::int64_t>(dst));
-      tracer.record_local(r32, obs::EventKind::span_end, obs::Category::comm,
-                          "send", seconds_between(backend_->epoch_, t1));
-    }
-    if (obs::metrics_enabled()) {
-      obs::metrics().histogram("comm.message_bytes")
-          .observe(static_cast<std::int64_t>(bytes));
-      obs::metrics()
-          .counter(copied_bytes == 0 ? "comm.zero_copy_bytes"
-                                     : "comm.copied_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-    }
-  }
+  friend class WallProcess<RankProcess>;
 
-  /// Credit wall time since the last communication call as compute time.
-  Clock::time_point flush_busy() {
-    const Clock::time_point t = Clock::now();
-    stats_.compute_time += seconds_between(last_mark_, t);
-    last_mark_ = t;
-    return t;
-  }
+  // take() and take_now() throw DeadlockError once the run is aborted,
+  // take() also on timeout or when no live peer can still send a match;
+  // wait() wakes early on delivery, peer exit or abort.
+  void deliver(index_t dst, int tag, Payload&& payload);
+  ReceivedMessage take(index_t src, int tag);
+  bool take_now(index_t src, int tag, ReceivedMessage* out);
+  void wait(double seconds);
 
-  ThreadBackend* backend_;
-  index_t rank_;
-  ProcStats stats_;
-  Clock::time_point last_mark_;
+  ThreadBackend& backend_;
+  Inbox& box_;  ///< this rank's own mailbox
 };
 
 // ---------------------------------------------------------------------------
@@ -220,138 +80,74 @@ ThreadBackend::ThreadBackend(const Config& config)
     : config_(config), topology_(config.topology, config.nprocs) {
   SPARTS_CHECK(config.nprocs >= 1, "need at least one processor");
   SPARTS_CHECK(config.recv_timeout > 0.0, "recv_timeout must be positive");
-  config_.use_spsc = env_spsc_default(config.use_spsc);
+  config_.use_spsc = spsc_enabled(config.use_spsc);
 }
 
-void ThreadBackend::deliver(index_t dst, Message msg) {
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dst)];
-  const index_t src = msg.src;
-  obs::flight_note(static_cast<std::int32_t>(src), "send",
-                   static_cast<std::int64_t>(msg.payload.size()),
+void ThreadBackend::RankProcess::deliver(index_t dst, int tag,
+                                        Payload&& payload) {
+  Inbox& box = *backend_.inboxes_[static_cast<std::size_t>(dst)];
+  obs::flight_note(static_cast<std::int32_t>(rank()), "send",
+                   static_cast<std::int64_t>(payload.size()),
                    static_cast<std::int64_t>(dst));
+  ReceivedMessage msg{rank(), tag, std::move(payload)};
   const bool metrics_on = obs::metrics_enabled();
-  if (mb.rings != nullptr &&
-      mb.rings[static_cast<std::size_t>(src)].try_push(msg)) {
-    // Flag our ring as possibly-nonempty so the consumer's drain visits
-    // only rings with traffic (O(active sources), not O(p)).  The
-    // seq_cst RMW keeps the Dekker argument below intact: it is ordered
-    // before the waiting probe, so a consumer that set waiting first
-    // observes the hint (and hence the message) in its post-park drain.
-    mb.ring_hint[src >> 6].fetch_or(std::uint64_t{1} << (src & 63),
-                                    std::memory_order_seq_cst);
-    // Producer half of the Dekker handshake (see exec/parking.hpp for the
-    // full argument): fence, probe-and-claim the waiting flag, pinned
-    // notify.  Edge-triggered: the first push of a burst claims the flag
-    // and pays the lock+notify round trip; the rest of the burst sees
-    // false and stays on the pure ring path.
-    const bool woke = mb.park.notify_if_armed();
+  if (box.mail.try_push_ring(msg)) {
+    // Producer half of the Dekker handshake (exec/parking.hpp): fence,
+    // probe-and-claim the waiting flag, pinned notify.  Edge-triggered:
+    // the first push of a burst claims the flag and pays the lock+notify
+    // round trip; the rest of the burst stays on the pure ring path.
+    const bool woke = box.park.notify_if_armed();
     if (metrics_on) {
       obs::metrics().counter("msgpath.ring_hit").add(1);
       if (woke) obs::metrics().counter("msgpath.wakes").add(1);
     }
     return;
   }
-  // Ring full or fast path off: locked fallback queue.
   {
-    std::lock_guard<std::mutex> lock(mb.park.mutex());
-    mb.queue.push_back(std::move(msg));
-    mb.queue_size.store(mb.queue.size(), std::memory_order_release);
+    std::lock_guard<std::mutex> lock(box.park.mutex());
+    box.mail.push_overflow_locked(std::move(msg));
   }
   if (metrics_on) obs::metrics().counter("msgpath.spill").add(1);
-  // Targeted wakeup: each mailbox has exactly one owner, so notify_one
-  // suffices (the old notify_all woke the whole herd at high p).  With
-  // the rings on the wakeup is edge-triggered like the ring path's: the
-  // push happened under the same mutex the consumer's pre-park queue
-  // drain holds, so a consumer observed waiting is genuinely parked and
-  // one claimed notify per park is enough — a burst that overflows the
-  // ring pays the futex wake once, not per spilled message.
-  if (mb.rings == nullptr) {
-    mb.park.notify_owner();
-    if (metrics_on) obs::metrics().counter("msgpath.wakes").add(1);
+  // Each mailbox has exactly one owner, so one targeted wake suffices.
+  // With the rings on it is edge-triggered like the ring path's: the push
+  // happened under the mutex the consumer's pre-park drain holds, so a
+  // consumer observed waiting is genuinely parked and a burst that
+  // overflows the ring pays the futex wake once, not per message.
+  bool woke = true;
+  if (box.mail.has_rings()) {
+    woke = box.park.notify_if_armed_locked_publish();
   } else {
-    if (mb.park.notify_if_armed_locked_publish() && metrics_on) {
-      obs::metrics().counter("msgpath.wakes").add(1);
-    }
+    box.park.notify_owner();
   }
+  if (woke && metrics_on) obs::metrics().counter("msgpath.wakes").add(1);
 }
 
-bool ThreadBackend::drain_rings(Mailbox& mb) {
-  if (mb.rings == nullptr) return false;
-  bool any = false;
-  Message m;
-  // Visit only the rings whose producers flagged traffic since the last
-  // drain.  exchange(0) claims the whole hint word: a bit set *during*
-  // the drain is either satisfied now (we pop the item anyway) or re-read
-  // on the next drain; a stale bit (item already popped) costs one empty
-  // try_pop.  seq_cst pairs with the producer's fetch_or (see deliver).
-  for (std::size_t w = 0; w < 2; ++w) {
-    std::uint64_t bits = mb.ring_hint[w].exchange(0, std::memory_order_seq_cst);
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      const std::size_t s = w * 64 + static_cast<std::size_t>(bit);
-      while (mb.rings[s].try_pop(&m)) {
-        mb.pending.push_back(std::move(m));
-        any = true;
-      }
-    }
-  }
-  return any;
-}
-
-bool ThreadBackend::drain_queue_locked(Mailbox& mb) {
-  if (mb.queue.empty()) return false;
-  while (!mb.queue.empty()) {
-    mb.pending.push_back(std::move(mb.queue.front()));
-    mb.queue.pop_front();
-  }
-  mb.queue_size.store(0, std::memory_order_release);
-  return true;
-}
-
-bool ThreadBackend::pop_pending(Mailbox& mb, index_t src, int tag,
-                                Message* out) {
-  for (auto it = mb.pending.begin(); it != mb.pending.end(); ++it) {
-    if (it->tag == tag && (src == kAnySource || it->src == src)) {
-      *out = std::move(*it);
-      mb.pending.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-ThreadBackend::Message ThreadBackend::take_match(index_t rank, index_t src,
-                                                 int tag) {
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
-  Message out;
-  if (pop_pending(mb, src, tag, &out)) return out;
+ReceivedMessage ThreadBackend::RankProcess::take(index_t src, int tag) {
+  ReceivedMessage out;
+  if (box_.mail.take(src, tag, &out)) return out;
   // Flight-note only blocking receives (the fast pop above stays silent):
-  // when the run dies, the dump shows what each rank was waiting on.
-  obs::flight_note(static_cast<std::int32_t>(rank), "recv_wait",
+  // when the run dies, the dump shows what each rank() was waiting on.
+  obs::flight_note(static_cast<std::int32_t>(rank()), "recv_wait",
                    static_cast<std::int64_t>(src),
                    static_cast<std::int64_t>(tag));
   const bool metrics_on = obs::metrics_enabled();
+  const double timeout = backend_.config_.recv_timeout;
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(config_.recv_timeout));
+                         std::chrono::duration<double>(timeout));
 
-  auto throw_aborted = [&] {
-    throw DeadlockError("thread backend run aborted: rank " +
-                        std::to_string(rank) +
-                        " was waiting in recv when another rank failed");
-  };
-
-  const int spins = spin_budget(config_.nprocs);
+  const int spins = spin_budget(nprocs());
   int idle_rounds = 0;
   for (;;) {
     // Fast path: drain the rings and match from pending.
-    if (drain_rings(mb)) {
-      if (pop_pending(mb, src, tag, &out)) return out;
+    if (box_.mail.drain_rings()) {
+      if (box_.mail.take(src, tag, &out)) return out;
       idle_rounds = 0;  // traffic is flowing; keep consuming the burst
       continue;
     }
-    if (aborted_.load(std::memory_order_acquire)) throw_aborted();
+    if (backend_.aborted()) {
+      throw run_aborted("thread", rank(), "waiting in recv");
+    }
     if (idle_rounds < spins) {
       ++idle_rounds;
       if (metrics_on) obs::metrics().counter("msgpath.spin_iters").add(1);
@@ -359,137 +155,97 @@ ThreadBackend::Message ThreadBackend::take_match(index_t rank, index_t src,
       continue;
     }
 
-    // Slow path: fallback queue, then park.
-    std::unique_lock<std::mutex> lock(mb.park.mutex());
-    drain_queue_locked(mb);
-    if (pop_pending(mb, src, tag, &out)) return out;
-    mb.park.arm();
-    if (drain_rings(mb)) {  // consumer half of the Dekker handshake
-      mb.park.disarm();
-      if (pop_pending(mb, src, tag, &out)) return out;
+    // Slow path: overflow queue, then park.
+    std::unique_lock<std::mutex> lock(box_.park.mutex());
+    box_.mail.drain_locked();
+    if (box_.mail.take(src, tag, &out)) return out;
+    box_.park.arm();
+    if (box_.mail.drain_rings()) {  // consumer half of the Dekker handshake
+      box_.park.disarm();
+      if (box_.mail.take(src, tag, &out)) return out;
       idle_rounds = 0;
       continue;
     }
-    if (aborted_.load(std::memory_order_acquire)) {
-      mb.park.disarm();
-      throw_aborted();
+    if (backend_.aborted()) {
+      box_.park.disarm();
+      throw run_aborted("thread", rank(), "waiting in recv");
     }
-    if (active_.load(std::memory_order_acquire) <= 1) {
-      mb.park.disarm();
-      obs::flight_note(static_cast<std::int32_t>(rank), "recv_deadlock",
+    if (backend_.active_.load(std::memory_order_acquire) <= 1) {
+      box_.park.disarm();
+      obs::flight_note(static_cast<std::int32_t>(rank()), "recv_deadlock",
                        static_cast<std::int64_t>(src),
                        static_cast<std::int64_t>(tag));
       throw DeadlockError(
-          "thread backend deadlock: rank " + std::to_string(rank) +
+          "thread backend deadlock: rank() " + std::to_string(rank()) +
           " waits for src=" + std::to_string(src) +
           " tag=" + std::to_string(tag) +
-          " but every other rank already finished");
+          " but every other rank() already finished");
     }
     if (metrics_on) obs::metrics().counter("msgpath.parks").add(1);
-    mb.park.park_until(lock, std::min(deadline, Clock::now() + kParkSlice));
-    mb.park.disarm();
-    drain_queue_locked(mb);
-    drain_rings(mb);
-    if (pop_pending(mb, src, tag, &out)) return out;
+    box_.park.park_until(lock, std::min(deadline, Clock::now() + kParkSlice));
+    box_.park.disarm();
+    box_.mail.drain_locked();
+    if (box_.mail.take(src, tag, &out)) return out;
     if (Clock::now() >= deadline) {
-      obs::flight_note(static_cast<std::int32_t>(rank), "recv_timeout",
+      obs::flight_note(static_cast<std::int32_t>(rank()), "recv_timeout",
                        static_cast<std::int64_t>(src),
                        static_cast<std::int64_t>(tag));
       throw DeadlockError(
           "thread backend recv timed out after " +
-          std::to_string(config_.recv_timeout) + "s: rank " +
-          std::to_string(rank) + " waits for src=" + std::to_string(src) +
+          std::to_string(timeout) + "s: rank() " +
+          std::to_string(rank()) + " waits for src=" + std::to_string(src) +
           " tag=" + std::to_string(tag) + " (likely deadlock)");
     }
     idle_rounds = 0;
   }
 }
 
-bool ThreadBackend::take_match_now(index_t rank, index_t src, int tag,
-                                   Message* out) {
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
-  drain_rings(mb);
-  if (aborted_.load(std::memory_order_acquire)) {
-    throw DeadlockError("thread backend run aborted: rank " +
-                        std::to_string(rank) +
-                        " was polling when another rank failed");
+bool ThreadBackend::RankProcess::take_now(index_t src, int tag,
+                                          ReceivedMessage* out) {
+  box_.mail.drain_rings();
+  if (backend_.aborted()) throw run_aborted("thread", rank(), "polling");
+  // The overflow queue sees only spills when the rings are on: skip the
+  // mutex whenever its lock-free count says it is empty.  A concurrent
+  // spill we race past is caught by the caller's poll loop (the
+  // producer's notify wakes the next wait).
+  if (box_.mail.overflow_pending()) {
+    std::lock_guard<std::mutex> lock(box_.park.mutex());
+    box_.mail.drain_locked();
   }
-  // With the rings on, the fallback queue only sees overflow traffic:
-  // skip the mutex round trip whenever the atomic size says it is empty.
-  // A concurrent overflow push we race past is caught by the caller's
-  // poll loop (the producer's notify wakes the next poll_wait).
-  if (mb.rings == nullptr ||
-      mb.queue_size.load(std::memory_order_acquire) != 0) {
-    std::lock_guard<std::mutex> lock(mb.park.mutex());
-    drain_queue_locked(mb);
-  }
-  return pop_pending(mb, src, tag, out);
+  return box_.mail.take(src, tag, out);
 }
 
-void ThreadBackend::wait_on_mailbox(index_t rank, double seconds) {
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
+void ThreadBackend::RankProcess::wait(double seconds) {
   // Lock-free early out: arrivals since the caller's last drain mean its
-  // next try_recv will find traffic, so skip the mutex and the condvar
-  // entirely.  (The caller's take_match_now drains rings and hints first,
-  // so a stale hint bit cannot make this loop spin.)
-  if (mb.rings != nullptr &&
-      !aborted_.load(std::memory_order_acquire) &&
-      (mb.queue_size.load(std::memory_order_acquire) != 0 ||
-       mb.ring_hint[0].load(std::memory_order_seq_cst) != 0 ||
-       mb.ring_hint[1].load(std::memory_order_seq_cst) != 0)) {
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mb.park.mutex());
-  if (aborted_.load(std::memory_order_acquire)) {
-    throw DeadlockError("thread backend run aborted: rank " +
-                        std::to_string(rank) +
-                        " was polling when another rank failed");
-  }
+  // next try_recv will find traffic, so skip the mutex and the condvar.
+  // (take_now drains rings and hints first, so a stale hint bit cannot
+  // make this loop spin.)
+  if (!backend_.aborted() && box_.mail.arrivals_pending()) return;
+  std::unique_lock<std::mutex> lock(box_.park.mutex());
+  if (backend_.aborted()) throw run_aborted("thread", rank(), "polling");
   // Every peer finished: nothing new can arrive, so return at once and
   // let the caller's retry budget expire instead of sleeping it out.
-  if (active_.load(std::memory_order_acquire) <= 1) return;
-  mb.park.arm();
-  // Undrained ring items (or fallback-queue items) arrived after the
-  // caller's last try_recv drain: that is exactly the "message delivery"
-  // this wait is supposed to wake early for.
-  bool arrivals = !mb.queue.empty();
-  if (!arrivals && mb.rings != nullptr) {
-    // Peek (not exchange): wait_on_mailbox does not drain, so consuming
-    // the hint here would hide the arrival from the next drain_rings.
-    // A stale hint bit causes at worst one early return; the caller's
-    // retry loop re-polls and comes back.
-    arrivals = mb.ring_hint[0].load(std::memory_order_seq_cst) != 0 ||
-               mb.ring_hint[1].load(std::memory_order_seq_cst) != 0;
+  if (backend_.active_.load(std::memory_order_acquire) <= 1) return;
+  box_.park.arm();
+  // Arrivals after the caller's last drain are exactly the "message
+  // delivery" this wait wakes early for.  Peek, do not drain: this is not
+  // a receive.
+  if (!box_.mail.arrivals_pending()) {
+    box_.park.park_for(lock, std::chrono::duration<double>(seconds));
   }
-  if (!arrivals) {
-    mb.park.park_for(lock, std::chrono::duration<double>(seconds));
-  }
-  mb.park.disarm();
-  if (aborted_.load(std::memory_order_acquire)) {
-    throw DeadlockError("thread backend run aborted: rank " +
-                        std::to_string(rank) +
-                        " was polling when another rank failed");
-  }
-}
-
-void ThreadBackend::wake_all_mailboxes() {
-  for (auto& mb : mailboxes_) mb->park.notify_all();
+  box_.park.disarm();
+  if (backend_.aborted()) throw run_aborted("thread", rank(), "polling");
 }
 
 RunStats ThreadBackend::run(const std::function<void(Process&)>& spmd) {
   SPARTS_CHECK(!running_, "ThreadBackend::run is not reentrant");
   running_ = true;
   aborted_.store(false, std::memory_order_release);
-  mailboxes_.clear();
-  mailboxes_.reserve(static_cast<std::size_t>(config_.nprocs));
-  const bool rings_on = config_.use_spsc && config_.nprocs <= kMaxRingRanks;
+  inboxes_.clear();
+  inboxes_.reserve(static_cast<std::size_t>(config_.nprocs));
   for (index_t r = 0; r < config_.nprocs; ++r) {
-    auto mb = std::make_unique<Mailbox>();
-    if (rings_on) {
-      mb->rings = std::make_unique<SpscRing<Message>[]>(
-          static_cast<std::size_t>(config_.nprocs));
-    }
-    mailboxes_.push_back(std::move(mb));
+    inboxes_.push_back(
+        std::make_unique<Inbox>(config_.nprocs, config_.use_spsc));
   }
   errors_.assign(static_cast<std::size_t>(config_.nprocs), nullptr);
   active_.store(config_.nprocs, std::memory_order_release);
@@ -511,28 +267,17 @@ RunStats ThreadBackend::run(const std::function<void(Process&)>& spmd) {
       stats[static_cast<std::size_t>(r)] = proc.finish();
       active_.fetch_sub(1, std::memory_order_acq_rel);
       // Wake peers either to abort or to detect that this rank can no
-      // longer send them anything.
-      wake_all_mailboxes();
+      // longer send them anything.  The pinned notify_all cannot be
+      // missed by an owner mid-predicate-check.
+      for (auto& box : inboxes_) box->park.notify_all();
     });
   }
   for (auto& t : threads) t.join();
   running_ = false;
 
-  // Propagate the highest-priority user error (root causes beat timeouts
-  // beat secondary deadlock unwinds), ties broken by rank order.  All
-  // threads are already joined at this point, so a crashed rank can never
-  // leave peers running or mailboxes live past this rethrow.
-  std::exception_ptr best_error;
-  int best_priority = 3;
-  for (const auto& err : errors_) {
-    if (!err) continue;
-    const int priority = error_priority(err);
-    if (priority < best_priority) {
-      best_priority = priority;
-      best_error = err;
-    }
-  }
-  if (best_error) std::rethrow_exception(best_error);
+  // All threads are joined, so a crashed rank can never leave peers
+  // running or mailboxes live past this rethrow.
+  rethrow_root_cause(errors_);
 
   RunStats out;
   out.procs = std::move(stats);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -273,6 +274,10 @@ TEST(WorkerTracks, TaskBackendRunEmitsSchedulerTimeline) {
   obs::Tracer::instance().begin_run();
   backend.run([](exec::Process& proc) {
     if (proc.rank() == 0) {
+      // Hold rank 0 so rank 1 suspends in recv and the other worker runs
+      // out of jobs and parks: without this the run can finish before any
+      // worker parks, and sched.parked_workers is never recorded.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
       proc.send_values<real_t>(1, 5, std::vector<real_t>(8, 1.0));
     } else {
       (void)proc.recv_values<real_t>(0, 5);

@@ -3,15 +3,20 @@
 // identical per-rank *event counts* (messages/words sent and received,
 // flops) on the simulated backend, the threaded backend, and both
 // wrapped in the checked decorator.  Times differ by design (virtual
-// cost-model seconds vs wall clock); counts may not.
+// cost-model seconds vs wall clock); counts may not.  The wall-clock legs
+// run at p = 4 (ring mailboxes) and at p = 130, past exec::kMaxRingRanks,
+// where every message takes the mailbox's ring-less overflow path.
 // Registered under the CTest label `obs`.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include "exec/checked_backend.hpp"
 #include "exec/collectives.hpp"
+#include "exec/mailbox.hpp"
 #include "exec/task_backend.hpp"
 #include "exec/thread_backend.hpp"
 #include "simpar/machine.hpp"
@@ -20,6 +25,10 @@ namespace sparts {
 namespace {
 
 constexpr index_t kProcs = 4;
+/// Past the ring limit: no ring lanes, every message on the overflow queue.
+constexpr index_t kRinglessProcs = 130;
+static_assert(kRinglessProcs > exec::kMaxRingRanks);
+constexpr index_t kSizes[] = {kProcs, kRinglessProcs};
 
 void conformance_program(exec::Process& proc) {
   const index_t p = proc.nprocs();
@@ -35,14 +44,18 @@ void conformance_program(exec::Process& proc) {
 
   // Collectives: every wrapper must feed stats identically on both
   // backends (they are layered on the same send/recv, but the checked
-  // decorator and the tracer hook them too).
-  const exec::Group g{0, p};
-  std::vector<real_t> bcast;
-  if (r == 0) bcast.assign(32, 1.0);
-  exec::broadcast(proc, g, bcast, 100);
-  std::vector<real_t> acc(16, static_cast<double>(r));
-  exec::reduce_sum(proc, g, acc, 200);
-  exec::barrier(proc, g, 300);
+  // decorator and the tracer hook them too).  They need a power-of-two
+  // group, so at p = 130 the first 128 ranks take part.
+  const exec::Group g{
+      0, static_cast<index_t>(std::bit_floor(static_cast<std::uint64_t>(p)))};
+  if (r < g.count) {
+    std::vector<real_t> bcast;
+    if (r == 0) bcast.assign(32, 1.0);
+    exec::broadcast(proc, g, bcast, 100);
+    std::vector<real_t> acc(16, static_cast<double>(r));
+    exec::reduce_sum(proc, g, acc, 200);
+    exec::barrier(proc, g, 300);
+  }
 
   proc.compute(50.0);
 }
@@ -71,37 +84,45 @@ void expect_same_counts(const exec::RunStats& expected,
   }
 }
 
-exec::RunStats run_simulated() {
+exec::RunStats run_simulated(index_t p = kProcs) {
   simpar::Machine::Config cfg;
-  cfg.nprocs = kProcs;
+  cfg.nprocs = p;
+  // The default hypercube needs a power-of-two rank count.
+  if (p == kRinglessProcs) cfg.topology = exec::TopologyKind::fully_connected;
   simpar::Machine m(cfg);
   return m.run(conformance_program);
 }
 
 TEST(StatsConformance, ProgramIsClosedOnSimulator) {
-  const exec::RunStats rs = run_simulated();
-  ASSERT_EQ(rs.procs.size(), static_cast<std::size_t>(kProcs));
-  EXPECT_GT(rs.total_messages(), 0);
-  // Closed run: every send was matched by a recv somewhere.
-  EXPECT_EQ(rs.total_messages_received(), rs.total_messages());
-  for (const auto& p : rs.procs) {
-    EXPECT_GT(p.flops, 0);
-    EXPECT_GT(p.messages_sent, 0);
-    EXPECT_GT(p.messages_received, 0);
+  for (const index_t p : kSizes) {
+    SCOPED_TRACE(p);
+    const exec::RunStats rs = run_simulated(p);
+    ASSERT_EQ(rs.procs.size(), static_cast<std::size_t>(p));
+    EXPECT_GT(rs.total_messages(), 0);
+    // Closed run: every send was matched by a recv somewhere.
+    EXPECT_EQ(rs.total_messages_received(), rs.total_messages());
+    for (const auto& proc : rs.procs) {
+      EXPECT_GT(proc.flops, 0);
+      EXPECT_GT(proc.messages_sent, 0);
+      EXPECT_GT(proc.messages_received, 0);
+    }
   }
 }
 
 TEST(StatsConformance, ThreadBackendMatchesSimulator) {
-  const exec::RunStats sim = run_simulated();
+  for (const index_t p : kSizes) {
+    SCOPED_TRACE(p);
+    const exec::RunStats sim = run_simulated(p);
 
-  exec::ThreadBackend::Config cfg;
-  cfg.nprocs = kProcs;
-  cfg.recv_timeout = 30.0;
-  exec::ThreadBackend threads(cfg);
-  const exec::RunStats thr = threads.run(conformance_program);
+    exec::ThreadBackend::Config cfg;
+    cfg.nprocs = p;
+    cfg.recv_timeout = 30.0;
+    exec::ThreadBackend threads(cfg);
+    const exec::RunStats thr = threads.run(conformance_program);
 
-  expect_same_counts(sim, thr, "threads vs sim");
-  EXPECT_EQ(thr.total_messages_received(), thr.total_messages());
+    expect_same_counts(sim, thr, "threads vs sim");
+    EXPECT_EQ(thr.total_messages_received(), thr.total_messages());
+  }
 }
 
 TEST(StatsConformance, TaskBackendMatchesSimulator) {
@@ -109,16 +130,22 @@ TEST(StatsConformance, TaskBackendMatchesSimulator) {
   // work-stealing worker pool; per-rank event counts must still match the
   // simulator exactly, at any worker count (including fewer workers than
   // ranks — the whole point of the backend).
-  const exec::RunStats sim = run_simulated();
-  for (const int workers : {1, 2, 8}) {
-    exec::TaskBackend::Config cfg;
-    cfg.nprocs = kProcs;
-    cfg.scheduler.workers = workers;
-    exec::TaskBackend tasks(cfg);
-    const exec::RunStats rs = tasks.run(conformance_program);
-    expect_same_counts(sim, rs, "tasks vs sim");
-    EXPECT_EQ(rs.total_messages_received(), rs.total_messages());
-    EXPECT_EQ(tasks.last_scheduler_stats().workers, workers);
+  for (const index_t p : kSizes) {
+    SCOPED_TRACE(p);
+    const exec::RunStats sim = run_simulated(p);
+    for (const int workers : {1, 2, 8}) {
+      exec::TaskBackend::Config cfg;
+      cfg.nprocs = p;
+      cfg.scheduler.workers = workers;
+      // 130 fibers: small stacks keep the run light (the program is
+      // shallow).
+      if (p == kRinglessProcs) cfg.stack_kb = 64;
+      exec::TaskBackend tasks(cfg);
+      const exec::RunStats rs = tasks.run(conformance_program);
+      expect_same_counts(sim, rs, "tasks vs sim");
+      EXPECT_EQ(rs.total_messages_received(), rs.total_messages());
+      EXPECT_EQ(tasks.last_scheduler_stats().workers, workers);
+    }
   }
 }
 

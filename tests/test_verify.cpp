@@ -1,6 +1,7 @@
 // Exhaustive model-checking suite (ctest -L verify): explores EVERY
 // bounded interleaving of the lock-free layer's protocols — SPSC ring
-// transfer, the park/wake handshake, deque stealing, arena donation — and
+// transfer, the park/wake handshake, deque stealing, arena donation, the
+// backends' message mailbox — and
 // proves the negative direction too: seeded concurrency bugs (relaxed
 // publish, arm-less park, unpinned notify, lock-order inversion) must be
 // CAUGHT, with a deterministic replay token.  Explored-state counts are
@@ -20,6 +21,7 @@
 #include "exec/spsc_ring.hpp"
 #include "exec/ws_deque.hpp"
 #include "verify/verify.hpp"
+#include "verify_mailbox_scenario.hpp"
 
 namespace {
 
@@ -217,6 +219,17 @@ TEST(Verify, DonationPoolExhaustive) {
   report("donation pool", res);
   EXPECT_TRUE(res.ok) << res.error << "\n" << res.trace;
   EXPECT_TRUE(res.complete);
+}
+
+TEST(Verify, MailboxRingHintOverflowExhaustive) {
+  // The backends' shared mailbox: ring push + hint publish vs the
+  // consumer's hint-claiming drain, with one producer spilling to the
+  // overflow queue (see tests/verify_mailbox_scenario.hpp).
+  const Result res = explore(sparts::verify_scenarios::mailbox_scenario);
+  report("mailbox", res);
+  EXPECT_TRUE(res.ok) << res.error << "\n" << res.trace;
+  EXPECT_TRUE(res.complete);
+  EXPECT_GT(res.schedules, 100U);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Memory-order mutation sweep (ctest -L verify): every load-bearing
-// memory_order in exec/spsc_ring.hpp and exec/parking.hpp is weakened to
+// memory_order in exec/spsc_ring.hpp, exec/parking.hpp and
+// exec/mailbox.hpp is weakened to
 // relaxed ONE SITE AT A TIME, and the model checker must catch each
 // mutant (a surviving mutant means either the order is unnecessary or —
 // worse — the checker is blind to that failure mode).  Sites annotated
@@ -32,6 +33,7 @@
 #include "exec/parking.hpp"
 #include "exec/spsc_ring.hpp"
 #include "verify/verify.hpp"
+#include "verify_mailbox_scenario.hpp"
 
 namespace {
 
@@ -41,6 +43,7 @@ using sparts::verify::Result;
 using sparts::verify::Scheduler;
 using sparts::verify::spin_yield;
 using sparts::verify::VerifyAtomics;
+using sparts::verify_scenarios::mailbox_scenario;
 
 // Core ring harness: bare try_push/try_pop spin loops, NO probes.  The
 // probes' advisory acquires would otherwise synchronize head_/tail_ on
@@ -157,6 +160,7 @@ void park_scenario(Scheduler& sch) {
 /// by a neighboring site's ordering.
 Result explore_site_scenario(const std::string& site) {
   if (site.rfind("park_", 0) == 0) return explore(park_scenario);
+  if (site.rfind("mailbox_", 0) == 0) return explore(mailbox_scenario);
   if (site.rfind("spsc_has_", 0) == 0) return explore(probe_ring_scenario);
   return explore(core_ring_scenario);
 }
@@ -181,7 +185,7 @@ void scan_header(const std::string& path, std::set<std::string>* plain,
   }
 }
 
-/// Baseline exploration of both harnesses with no mutation active; this
+/// Baseline exploration of every harness with no mutation active; this
 /// also populates the runtime site registry.  Returns the sites seen.
 std::vector<MutationSite> run_baselines() {
   sparts::verify::mutation_reset();
@@ -194,17 +198,21 @@ std::vector<MutationSite> run_baselines() {
   const Result park = explore(park_scenario);
   EXPECT_TRUE(park.ok) << park.error << "\n" << park.trace;
   EXPECT_TRUE(park.complete);
+  const Result mailbox = explore(mailbox_scenario);
+  EXPECT_TRUE(mailbox.ok) << mailbox.error << "\n" << mailbox.trace;
+  EXPECT_TRUE(mailbox.complete);
   std::printf(
-      "[ baseline ] core ring: %llu   probe ring: %llu   park: %llu "
-      "schedules\n",
+      "[ baseline ] core ring: %llu   probe ring: %llu   park: %llu   "
+      "mailbox: %llu schedules\n",
       static_cast<unsigned long long>(core.schedules),
       static_cast<unsigned long long>(probe.schedules),
-      static_cast<unsigned long long>(park.schedules));
+      static_cast<unsigned long long>(park.schedules),
+      static_cast<unsigned long long>(mailbox.schedules));
   return sparts::verify::mutation_sites();
 }
 
 TEST(VerifyMutations, RegistryMatchesStaticScan) {
-  // Every macro site in the two headers must have EXECUTED during the
+  // Every macro site in the three headers must have EXECUTED during the
   // baseline explorations — a site the harness never exercises is a site
   // the sweep silently does not protect.
   std::set<std::string> scan_plain;
@@ -212,6 +220,7 @@ TEST(VerifyMutations, RegistryMatchesStaticScan) {
   const std::string root = SPARTS_SOURCE_DIR;
   scan_header(root + "/src/exec/spsc_ring.hpp", &scan_plain, &scan_advisory);
   scan_header(root + "/src/exec/parking.hpp", &scan_plain, &scan_advisory);
+  scan_header(root + "/src/exec/mailbox.hpp", &scan_plain, &scan_advisory);
   ASSERT_FALSE(scan_plain.empty());
   ASSERT_FALSE(scan_advisory.empty());
 
@@ -234,6 +243,7 @@ TEST(VerifyMutations, SweepKillsEveryWeakening) {
       "spsc_push_head_acquire", "spsc_push_tail_release",
       "spsc_pop_tail_acquire",  "spsc_pop_head_release",
       "park_arm_fence",         "park_notify_fence",
+      "mailbox_hint_publish",   "mailbox_hint_claim",
   };
   std::set<std::string> seen_killable;
 

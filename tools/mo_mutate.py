@@ -27,6 +27,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 HEADERS = [
     "src/exec/spsc_ring.hpp",
     "src/exec/parking.hpp",
+    "src/exec/mailbox.hpp",
 ]
 
 SITE = re.compile(

@@ -44,8 +44,8 @@ input (choose one):
 options:
   --nrhs M              number of right-hand sides        (default 1)
   --ordering NAME       nd | md | rcm | natural           (default nd)
-  --procs P             run the distributed pipeline on P processors
-                        (default 0 = sequential host solve)
+  --procs P             run the distributed pipeline on P processors, a
+                        power of two (default 0 = sequential host solve)
   --backend NAME        execution backend for the parallel phases
                         (default sim); registered backends:
 )";
@@ -252,6 +252,15 @@ int main(int argc, char** argv) {
         usage();
         return 2;
       }
+    }
+
+    // The subtree-to-subcube mapping splits processor groups in halves,
+    // so the distributed pipeline runs on hypercubes only.
+    if (procs < 0 || (procs & (procs - 1)) != 0) {
+      std::cerr << "error: --procs must be a power of two (1, 2, 4, ...) "
+                   "or 0 for the sequential solve, got "
+                << procs << "\n";
+      return 2;
     }
 
     if (options.backend == solver::ExecutionBackend::proc) {
