@@ -7,8 +7,8 @@
 //
 //   * clean_threads      — plain exec::ThreadBackend, no envelope.
 //   * envelope_threads   — the faulty stack with an empty fault plan: every
-//     message pays the wire header, sequence bookkeeping and acks, but no
-//     fault is injected.  `overhead_pct` vs clean_threads is the headline;
+//     message pays the wire trailer, sequence bookkeeping, retransmit
+//     buffering and the FIN linger, but no fault is injected.  `overhead_pct` vs clean_threads is the headline;
 //     the budget is < 5% on a compute-dominated workload.
 //   * delay_*            — a fraction of messages held for a fixed time;
 //     `recovery_seconds` (extra wall time vs envelope_threads) against

@@ -95,7 +95,6 @@ struct Global {
 
   std::atomic<std::size_t> chunks{0};
   std::atomic<std::size_t> chunk_bytes{0};
-  std::atomic<std::size_t> huge_chunks{0};
   std::atomic<std::size_t> live_bytes{0};
   std::atomic<std::size_t> total_allocs{0};
   std::atomic<std::size_t> heap_fallbacks{0};
@@ -120,29 +119,12 @@ bool env_flag(const char* name, bool dflt) {
 
 std::atomic<int> g_forced_mode{-1};  ///< -1 env, 0 off, 1 on
 
-bool hugepages_enabled() {
-  static const bool on = env_flag("SPARTS_HUGEPAGES", false);
-  return on;
-}
-
-bool numa_local_enabled() {
-  static const bool on = env_flag("SPARTS_NUMA", true);
-  return on;
-}
-
 /// Map a fresh chunk (never unmapped).  Returns empty span on failure.
 Span map_chunk(std::size_t bytes) {
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) return {};
   Global& g = global();
-  if (hugepages_enabled()) {
-#ifdef MADV_HUGEPAGE
-    if (::madvise(p, bytes, MADV_HUGEPAGE) == 0) {
-      g.huge_chunks.fetch_add(1, std::memory_order_relaxed);
-    }
-#endif
-  }
   g.chunks.fetch_add(1, std::memory_order_relaxed);
   g.chunk_bytes.fetch_add(bytes, std::memory_order_relaxed);
   return Span{static_cast<std::byte*>(p), static_cast<std::byte*>(p) + bytes};
@@ -200,7 +182,6 @@ BlockHeader* alloc_class_global(std::size_t c) {
 }
 
 BlockHeader* alloc_class(std::size_t c) {
-  if (!numa_local_enabled()) return alloc_class_global(c);
   ThreadCache* tc = thread_cache();
   if (!tc->alive) return alloc_class_global(c);
   Global& g = global();
@@ -249,11 +230,6 @@ void* alloc_big(std::size_t bytes) {
   void* p = ::mmap(nullptr, mapped, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) return alloc_heap(bytes);
-  if (hugepages_enabled()) {
-#ifdef MADV_HUGEPAGE
-    ::madvise(p, mapped, MADV_HUGEPAGE);
-#endif
-  }
   auto* h = static_cast<BlockHeader*>(p);
   h->magic = kMagicBig;
   h->size_class = 0;
@@ -275,9 +251,6 @@ bool arena_enabled() {
   return on;
 #endif
 }
-
-bool arena_hugepages() { return hugepages_enabled(); }
-bool arena_numa_local() { return numa_local_enabled(); }
 
 void arena_force_enabled_for_test(bool on) {
   g_forced_mode.store(on ? 1 : 0, std::memory_order_relaxed);
@@ -311,12 +284,10 @@ void arena_free(void* p) noexcept {
       return;
     case kMagicChunk: {
       const std::size_t c = h->size_class;
-      if (numa_local_enabled()) {
-        ThreadCache* tc = thread_cache();
-        if (tc->alive) {
-          tc->free_lists[c].push(h);
-          return;
-        }
+      ThreadCache* tc = thread_cache();
+      if (tc->alive) {
+        tc->free_lists[c].push(h);
+        return;
       }
       g.pool.release(c, h);
       return;
@@ -331,7 +302,6 @@ ArenaStats arena_stats() {
   ArenaStats s;
   s.chunks = g.chunks.load(std::memory_order_relaxed);
   s.chunk_bytes = g.chunk_bytes.load(std::memory_order_relaxed);
-  s.huge_chunks = g.huge_chunks.load(std::memory_order_relaxed);
   s.live_bytes = g.live_bytes.load(std::memory_order_relaxed);
   s.total_allocs = g.total_allocs.load(std::memory_order_relaxed);
   s.heap_fallbacks = g.heap_fallbacks.load(std::memory_order_relaxed);

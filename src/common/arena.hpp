@@ -22,14 +22,10 @@
 //   * Blocks larger than the largest size class get a dedicated mmap that
 //     IS unmapped on free (nothing else lives in it).
 //
-// Knobs (read once, at first allocation):
+// Knob (read once, at first allocation):
 //   SPARTS_ARENA=off      plain operator new/delete behind the same header
 //                         (default: on; forced off under AddressSanitizer,
 //                         which cannot poison arena memory).
-//   SPARTS_HUGEPAGES=on   madvise(MADV_HUGEPAGE) every chunk (default: off).
-//   SPARTS_NUMA=off       disable the per-thread caches: all allocation
-//                         goes through the shared pool under the mutex
-//                         (default: local = per-thread first-touch arenas).
 //
 // The allocator-injection idiom (a stateless std allocator delegating to
 // the arena, so containers opt in per-type alias) follows dphim's
@@ -45,7 +41,6 @@ namespace sparts::common {
 struct ArenaStats {
   std::size_t chunks = 0;           ///< chunks ever mapped
   std::size_t chunk_bytes = 0;      ///< bytes in those chunks
-  std::size_t huge_chunks = 0;      ///< chunks with MADV_HUGEPAGE applied
   std::size_t live_bytes = 0;       ///< payload bytes currently allocated
   std::size_t total_allocs = 0;     ///< arena_alloc calls ever
   std::size_t heap_fallbacks = 0;   ///< allocs served by operator new
@@ -60,10 +55,6 @@ struct ArenaStats {
 /// Whether arena allocation is active (latched from SPARTS_ARENA on first
 /// use; always false under AddressSanitizer).
 bool arena_enabled();
-/// Whether chunks are madvise'd to huge pages (SPARTS_HUGEPAGES).
-bool arena_hugepages();
-/// Whether per-thread caches are active (SPARTS_NUMA != off).
-bool arena_numa_local();
 
 /// Allocate `bytes` (payload is at least 16-byte aligned, 64-byte aligned
 /// when chunk-backed).  Never returns nullptr (throws std::bad_alloc).

@@ -286,7 +286,15 @@ class FaultyBackend::FaultyProcess final : public Process {
       stalled_ = true;
       ++stats_.stalls;
       record_fault("stall", rank(), rank(), 0);
+      // One poll_wait is the whole stall on the simulator, but a
+      // wall-clock wait may end early (threads wake on a pending message,
+      // a fiber yields once), so keep waiting until the deadline passes.
+      const double until = inner_->now() + plan_.stall_seconds;
       inner_->poll_wait(plan_.stall_seconds);
+      for (double left = until - inner_->now(); left > 0.0;
+           left = until - inner_->now()) {
+        inner_->poll_wait(left);
+      }
     }
     if (plan_.crash_rank == rank() && ops_ >= plan_.crash_after) {
       ++stats_.crashes;

@@ -30,16 +30,28 @@ struct WireHeader {
 /// Full payload of a control-tag message.
 struct CtrlMsg {
   std::uint32_t magic;
-  std::uint32_t kind;  ///< 1 = ack, 2 = nack, 3 = fin
-  std::int32_t tag;    ///< the data tag the ack/nack refers to
+  std::uint32_t kind;  ///< 2 = nack, 3 = fin
+  std::int32_t tag;    ///< the data tag the nack refers to
   std::uint32_t pad;
+  /// Always 0.  Kept so a control frame stays 24 bytes: its size is part
+  /// of the simulated message cost, and the faulty-sim timings must not
+  /// move.
   std::uint64_t seq;
 };
 
 constexpr std::uint32_t kData = 0;
-constexpr std::uint32_t kAck = 1;
 constexpr std::uint32_t kNack = 2;
 constexpr std::uint32_t kFin = 3;
+
+/// Multiplier applied to a recv's NACK wait after every NACK.
+constexpr double kBackoff = 2.0;
+/// Cap on the backed-off wait, as a multiple of the timeout.  Pure
+/// exponential backoff wastes the early rounds when the sender is itself
+/// blocked upstream (a cascaded delay) and leaves too few late rounds to
+/// survive message drops; the cap keeps late NACK rounds evenly spaced.
+constexpr double kBackoffCap = 8.0;
+/// Polling granularity, as a fraction of the timeout.
+constexpr double kTicksPerTimeout = 16.0;
 
 static_assert(std::is_trivially_copyable_v<WireHeader>);
 static_assert(std::is_trivially_copyable_v<CtrlMsg>);
@@ -90,9 +102,6 @@ ReliableConfig& ReliableConfig::from_env() {
     const long n = std::atol(env);
     if (n >= 0) max_retry = static_cast<int>(n);
   }
-  if (const char* env = std::getenv("SPARTS_RELIABLE_ACKS")) {
-    acks = !(env[0] == '0' && env[1] == '\0');
-  }
   return *this;
 }
 
@@ -109,9 +118,8 @@ std::string RankProgress::note() const {
 std::string ReliableStats::summary() const {
   std::ostringstream oss;
   oss << data_sends << " data send(s), " << retransmits << " retransmit(s), "
-      << dup_discarded << " duplicate(s) discarded, " << nacks_sent
-      << " nack(s), " << acks_sent << " ack(s), " << timeouts
-      << " timeout(s)";
+      << dup_discarded << " duplicate(s) discarded, " << nacks
+      << " nack(s), " << timeouts << " timeout(s)";
   return oss.str();
 }
 
@@ -128,22 +136,18 @@ class ReliableBackend::ReliableProcess final : public Process {
         cfg_(backend->config_),
         inner_(inner),
         rank_(inner->rank()),
-        p_(inner->nprocs()) {
-    tick_ = cfg_.poll_tick > 0.0 ? cfg_.poll_tick : cfg_.timeout / 16.0;
-    if (cfg_.fin_timeout > 0.0) {
-      fin_timeout_ = cfg_.fin_timeout;
-    } else {
-      // Full retry horizon of a peer still waiting on one of my messages:
-      // it NACKs at timeout, timeout*backoff, ... (capped) — I must stay
-      // around to service the last round or a tail drop becomes
-      // unrecoverable.
-      double horizon = 0.0, wait = cfg_.timeout;
-      for (int i = 0; i <= cfg_.max_retry; ++i) {
-        horizon += wait;
-        wait = backed_off(wait);
-      }
-      fin_timeout_ = horizon + cfg_.timeout;
+        p_(inner->nprocs()),
+        tick_(cfg_.timeout / kTicksPerTimeout) {
+    // FIN linger bound: the full retry horizon of a peer still waiting on
+    // one of my messages — it NACKs at timeout, timeout*backoff, ...
+    // (capped) — plus one timeout.  I must stay around to service the
+    // last round or a tail drop becomes unrecoverable.
+    double horizon = 0.0, wait = cfg_.timeout;
+    for (int i = 0; i <= cfg_.max_retry; ++i) {
+      horizon += wait;
+      wait = backed_off(wait);
     }
+    linger_ = horizon + cfg_.timeout;
   }
 
   index_t rank() const override { return rank_; }
@@ -163,7 +167,10 @@ class ReliableBackend::ReliableProcess final : public Process {
             std::span<const std::byte> payload) override {
     SPARTS_CHECK(tag != kCtrlTag,
                  "the control tag is reserved for the reliability envelope");
-    WireHeader h{kMagic, kData, next_seq_[{dst, tag}]++};
+    // Every frame stays buffered for the whole run, so the edge's buffer
+    // length is its next sequence number.
+    auto& sent = sent_[{dst, tag}];
+    const WireHeader h{kMagic, kData, sent.size()};
     std::vector<std::byte> wire(payload.size() + sizeof(WireHeader));
     if (!payload.empty()) {
       std::memcpy(wire.data(), payload.data(), payload.size());
@@ -172,7 +179,7 @@ class ReliableBackend::ReliableProcess final : public Process {
     inner_->send(dst, tag, wire);
     ++stats_.data_sends;
     ++prog_.sends;
-    buffer_.emplace(BufferKey{dst, tag, h.seq}, std::move(wire));
+    sent.push_back(std::move(wire));
     service_ctrl();
   }
 
@@ -207,17 +214,10 @@ class ReliableBackend::ReliableProcess final : public Process {
                      "reliable envelope: malformed data frame on tag "
                          << tag << " (was this sent outside the envelope?)");
         if (!delivered_[{m.source, tag}].insert(h.seq).second) {
-          // Duplicate: discard, but re-ack (the original ack may be the
-          // thing that was lost).
           ++stats_.dup_discarded;
           ++prog_.dup_discarded;
           record_instant("dup_discarded", rank_, m.source, tag);
-          if (cfg_.acks) send_ack(m.source, tag, h.seq);
           continue;
-        }
-        if (cfg_.acks) {
-          send_ack(m.source, tag, h.seq);
-          ++stats_.acks_sent;
         }
         ++prog_.recvs;
         prog_.last_wait.clear();
@@ -264,7 +264,7 @@ class ReliableBackend::ReliableProcess final : public Process {
       }
       double waited = 0.0;
       while (static_cast<index_t>(fins_.size()) < p_ - 1 &&
-             waited < fin_timeout_) {
+             waited < linger_) {
         // A serviced NACK proves a peer is still blocked on one of my
         // messages: restart the linger clock rather than abandoning it
         // mid-recovery.  (A crashed or absent peer sends no NACKs, so
@@ -280,16 +280,10 @@ class ReliableBackend::ReliableProcess final : public Process {
   void merge_into_backend() { backend_->merge(rank_, stats_, prog_); }
 
  private:
-  using BufferKey = std::tuple<index_t, int, std::uint64_t>;
-
-  /// Next NACK wait: exponential, capped at timeout * backoff_cap so the
-  /// late rounds stay evenly spaced (see ReliableConfig::backoff_cap).
+  /// Next NACK wait: exponential, capped at timeout * kBackoffCap so the
+  /// late rounds stay evenly spaced.
   double backed_off(double wait) const {
-    wait *= cfg_.backoff;
-    if (cfg_.backoff_cap > 1.0) {
-      wait = std::min(wait, cfg_.timeout * cfg_.backoff_cap);
-    }
-    return wait;
+    return std::min(wait * kBackoff, cfg_.timeout * kBackoffCap);
   }
 
   void send_ctrl(index_t dst, const CtrlMsg& c) {
@@ -297,13 +291,9 @@ class ReliableBackend::ReliableProcess final : public Process {
                  {reinterpret_cast<const std::byte*>(&c), sizeof(CtrlMsg)});
   }
 
-  void send_ack(index_t dst, int tag, std::uint64_t seq) {
-    send_ctrl(dst, CtrlMsg{kMagic, kAck, tag, 0, seq});
-  }
-
   void send_nack(index_t src, int tag) {
     const CtrlMsg nack{kMagic, kNack, tag, 0, 0};
-    ++stats_.nacks_sent;
+    ++stats_.nacks;
     record_instant("nack", rank_, src, tag);
     if (src == kAnySource) {
       // Wildcard recv: the sender is unknown, so ask everyone; peers with
@@ -330,9 +320,6 @@ class ReliableBackend::ReliableProcess final : public Process {
       SPARTS_CHECK(c.magic == kMagic,
                    "reliable envelope: bad control-message magic");
       switch (c.kind) {
-        case kAck:
-          buffer_.erase(BufferKey{m.source, c.tag, c.seq});
-          break;
         case kNack:
           retransmit(m.source, c.tag);
           ++nacks;
@@ -348,13 +335,12 @@ class ReliableBackend::ReliableProcess final : public Process {
     return nacks;
   }
 
-  /// Resend every unacknowledged frame previously sent to `dst` on `tag`.
+  /// Resend every frame previously sent to `dst` on `tag`.
   void retransmit(index_t dst, int tag) {
-    auto it = buffer_.lower_bound(BufferKey{dst, tag, 0});
-    for (; it != buffer_.end(); ++it) {
-      const auto& [key_dst, key_tag, key_seq] = it->first;
-      if (key_dst != dst || key_tag != tag) break;
-      inner_->send(dst, tag, it->second);
+    const auto it = sent_.find({dst, tag});
+    if (it == sent_.end()) return;
+    for (const std::vector<std::byte>& wire : it->second) {
+      inner_->send(dst, tag, wire);
       ++stats_.retransmits;
       ++prog_.retransmits;
       record_instant("retransmit", rank_, dst, tag);
@@ -366,11 +352,12 @@ class ReliableBackend::ReliableProcess final : public Process {
   Process* inner_;
   index_t rank_;
   index_t p_;
-  double tick_ = 0.0;
-  double fin_timeout_ = 0.0;
+  double tick_;
+  double linger_ = 0.0;  ///< bound on the post-body FIN linger
 
-  std::map<std::pair<index_t, int>, std::uint64_t> next_seq_;
-  std::map<BufferKey, std::vector<std::byte>> buffer_;
+  /// Every data frame sent on each (dst, tag) edge, in sequence order.
+  std::map<std::pair<index_t, int>, std::vector<std::vector<std::byte>>>
+      sent_;
   std::map<std::pair<index_t, int>, std::set<std::uint64_t>> delivered_;
   std::set<index_t> fins_;
   ReliableStats stats_;
@@ -386,7 +373,6 @@ ReliableBackend::ReliableBackend(std::unique_ptr<Comm> inner,
     : inner_(std::move(inner)), config_(config) {
   SPARTS_CHECK(inner_ != nullptr, "reliable backend needs an inner backend");
   SPARTS_CHECK(config_.timeout > 0.0, "envelope timeout must be positive");
-  SPARTS_CHECK(config_.backoff >= 1.0, "envelope backoff must be >= 1");
   SPARTS_CHECK(config_.max_retry >= 0, "envelope max_retry must be >= 0");
 }
 
@@ -398,8 +384,7 @@ void ReliableBackend::merge(index_t rank, const ReliableStats& stats,
   stats_.data_sends += stats.data_sends;
   stats_.retransmits += stats.retransmits;
   stats_.dup_discarded += stats.dup_discarded;
-  stats_.nacks_sent += stats.nacks_sent;
-  stats_.acks_sent += stats.acks_sent;
+  stats_.nacks += stats.nacks;
   stats_.timeouts += stats.timeouts;
   progress_[static_cast<std::size_t>(rank)] = prog;
   if (obs::metrics_enabled()) {
@@ -407,8 +392,7 @@ void ReliableBackend::merge(index_t rank, const ReliableStats& stats,
     m.counter("reliable.data_sends").add(stats.data_sends);
     m.counter("reliable.retransmits").add(stats.retransmits);
     m.counter("reliable.dup_discarded").add(stats.dup_discarded);
-    m.counter("reliable.nacks").add(stats.nacks_sent);
-    m.counter("reliable.acks").add(stats.acks_sent);
+    m.counter("reliable.nacks").add(stats.nacks);
     m.counter("reliable.timeouts").add(stats.timeouts);
   }
 }

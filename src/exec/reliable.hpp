@@ -8,27 +8,33 @@
 // Process::try_recv / poll_wait that
 //
 //   * discards duplicates (same (src, tag, seq) seen before),
-//   * acknowledges first deliveries on the reserved control tag
-//     (exec::kCtrlTag) so senders can trim their retransmit buffers,
 //   * after `timeout` seconds without the expected message sends a NACK
-//     to the source (all peers for a wildcard recv), asking it to
-//     retransmit everything unacknowledged on that (dst, tag) edge, and
-//   * retries with capped exponential backoff up to `max_retry` times
-//     before throwing TimeoutError with a per-rank progress report
-//     attached — a deadline-based abort instead of a hang.  The cap
-//     matters: a NACK for a frame the sender has not produced yet is a
-//     no-op, so when the sender is itself blocked upstream (a cascaded
-//     delay) pure exponential backoff would burn nearly the whole retry
-//     budget on those useless early rounds and leave one or two rare
-//     late rounds that a lossy network can swallow whole.
+//     to the source (all peers for a wildcard recv) on the reserved
+//     control tag (exec::kCtrlTag), asking it to retransmit everything it
+//     sent on that (dst, tag) edge, and
+//   * retries with capped exponential backoff (each wait doubles, up to
+//     8 timeouts) up to `max_retry` times before throwing TimeoutError
+//     with a per-rank progress report attached — a deadline-based abort
+//     instead of a hang.  The cap matters: a NACK for a frame the sender
+//     has not produced yet is a no-op, so when the sender is itself
+//     blocked upstream (a cascaded delay) pure exponential backoff would
+//     burn nearly the whole retry budget on those useless early rounds
+//     and leave one or two rare late rounds that a lossy network can
+//     swallow whole.
+//
+// Deliveries are not acknowledged: NACK-driven retransmission plus the
+// FIN linger are enough for correctness, so a sender keeps every frame
+// of the run buffered (bounded by one phase's traffic) instead of paying
+// a control message per delivery.
 //
 // When the SPMD body returns, the rank broadcasts FIN on the control tag
-// and lingers (bounded by `fin_timeout`), servicing NACKs for messages it
-// sent late in its life, until every peer's FIN arrives.  Each serviced
-// NACK resets the linger clock — a peer actively requesting retransmits
-// is proof this rank is still needed.  This closes the classic tail
-// window where a dropped final message could never be retransmitted
-// because its sender had already exited.
+// and lingers, servicing NACKs for messages it sent late in its life,
+// until every peer's FIN arrives.  The linger is bounded by the full
+// retry horizon plus one timeout, and each serviced NACK resets its
+// clock — a peer actively requesting retransmits is proof this rank is
+// still needed.  This closes the classic tail window where a dropped
+// final message could never be retransmitted because its sender had
+// already exited.
 //
 // The envelope changes simulated timings (polling advances the virtual
 // clock), so the solver only applies it on the fault-injecting backends;
@@ -52,26 +58,8 @@ namespace sparts::exec {
 struct ReliableConfig {
   /// Seconds of backend time a recv waits before its first NACK.
   double timeout = 0.05;
-  /// Multiplier applied to the wait after every NACK.
-  double backoff = 2.0;
-  /// Cap on the backed-off wait, as a multiple of `timeout`.  Pure
-  /// exponential backoff wastes the early rounds when the sender is
-  /// itself blocked upstream (a cascaded delay) and leaves too few late
-  /// rounds to survive message drops; the cap keeps late NACK rounds
-  /// evenly spaced.  <= 1 disables the cap.
-  double backoff_cap = 8.0;
   /// NACKs sent before a recv gives up with TimeoutError.
   int max_retry = 20;
-  /// Polling granularity; <= 0 picks timeout / 16.
-  double poll_tick = -1.0;
-  /// Bound on the post-body FIN linger; <= 0 picks the full retry horizon
-  /// (sum of every peer's backed-off waits, plus one timeout) so a
-  /// finished sender outlives the last NACK a blocked peer can send.
-  double fin_timeout = -1.0;
-  /// Acknowledge first deliveries so senders can trim their buffers.
-  /// With acks off, buffers are retained until the end of the run (more
-  /// memory, fewer control messages).
-  bool acks = true;
 
   /// Defaults scaled for simulated seconds (message latencies ~1e-5 s
   /// under the T3D cost model).
@@ -94,8 +82,7 @@ struct ReliableStats {
   std::int64_t data_sends = 0;
   std::int64_t retransmits = 0;
   std::int64_t dup_discarded = 0;
-  std::int64_t nacks_sent = 0;
-  std::int64_t acks_sent = 0;
+  std::int64_t nacks = 0;
   std::int64_t timeouts = 0;
   std::string summary() const;
 };

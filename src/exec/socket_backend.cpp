@@ -231,7 +231,7 @@ class SocketSession {
 
 SocketSession::SocketSession(const SocketConfig& config)
     : config_(config),
-      topology_(config.topology, config.nprocs),
+      topology_(TopologyKind::fully_connected, config.nprocs),
       start_(Clock::now()) {
   SPARTS_CHECK(config_.rank >= 0 && config_.rank < config_.nprocs,
                "socket backend rank " << config_.rank << " outside [0, "

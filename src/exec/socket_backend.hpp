@@ -29,6 +29,8 @@
 //     desyncs the connection, which the connecting side transparently
 //     re-establishes.
 //
+// Its topology is fully connected (every rank dials every other).
+//
 // One process hosts ONE rank.  A process-wide SocketSession (created by
 // the first SocketBackend, reused by every later one) owns the listener,
 // the per-peer connections and their reader/sender threads, and the
@@ -80,7 +82,6 @@ struct SocketConfig {
   /// every peer still heartbeats (mirrors ThreadBackend::recv_timeout).
   double recv_timeout = 60.0;
   CostModel cost{};
-  TopologyKind topology = TopologyKind::fully_connected;
 
   SocketConfig& from_env();
 };

@@ -194,7 +194,8 @@ class TaskBackend::FiberProcess final : public WallProcess<FiberProcess> {
 // ---------------------------------------------------------------------------
 
 TaskBackend::TaskBackend(const Config& config)
-    : config_(config), topology_(config.topology, config.nprocs) {
+    : config_(config),
+      topology_(TopologyKind::fully_connected, config.nprocs) {
   SPARTS_CHECK(config.nprocs >= 1, "need at least one processor");
   std::size_t kb = config.stack_kb;
   if (kb == 0) kb = env_stack_kb();

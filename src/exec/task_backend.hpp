@@ -26,15 +26,17 @@
 // backend matches the same sends to the same recvs, so a solve on this
 // backend is bit-identical to one on ThreadBackend or the simulator.
 //
+// Its topology is fully connected, as on the other wall-clock backends.
+//
 // Deadlock detection is exact rather than timeout-based: all messages
 // come from the run's own fibers, so the moment every live fiber is
 // suspended in recv with no match, no progress is possible and the run
 // aborts with DeadlockError (this subsumes ThreadBackend's "every other
 // rank already finished" rule).
 //
-// Tuning knobs (environment): SPARTS_TASK_WORKERS, SPARTS_TASK_CLUSTER
-// (see task_scheduler.hpp), SPARTS_TASK_STACK_KB (per-fiber stack,
-// default 1024) and SPARTS_SPSC=off (disable the ring fast path).
+// Tuning knobs (environment): SPARTS_TASK_WORKERS (see
+// task_scheduler.hpp), SPARTS_TASK_STACK_KB (per-fiber stack, default
+// 1024) and SPARTS_SPSC=off (disable the ring fast path).
 #pragma once
 
 #include <atomic>
@@ -59,8 +61,7 @@ class TaskBackend final : public Comm {
     index_t nprocs = 1;
     /// Carried as a hint source only; this backend measures wall clock.
     CostModel cost{};
-    TopologyKind topology = TopologyKind::fully_connected;
-    /// Worker pool shape (worker count, steal clusters, spin budget).
+    /// Worker pool shape (the worker count).
     TaskScheduler::Config scheduler{};
     /// Per-fiber stack in KiB; 0 = $SPARTS_TASK_STACK_KB, else 1024.
     std::size_t stack_kb = 0;

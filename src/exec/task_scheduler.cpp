@@ -22,6 +22,11 @@ namespace {
 thread_local const TaskScheduler* tl_scheduler = nullptr;
 thread_local int tl_worker = -1;
 
+/// Workers per steal cluster in the victim order.
+constexpr int kClusterSize = 4;
+/// Full steal sweeps before a starved worker parks.
+constexpr int kSpinSweeps = 2;
+
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
@@ -37,10 +42,6 @@ TaskScheduler::TaskScheduler(const Config& config) {
   if (w <= 0) w = env_int("SPARTS_TASK_WORKERS", 0);
   if (w <= 0) w = static_cast<int>(std::thread::hardware_concurrency());
   if (w <= 0) w = 1;
-  int cluster = config.cluster_size;
-  if (cluster <= 0) cluster = env_int("SPARTS_TASK_CLUSTER", 0);
-  if (cluster <= 0) cluster = 4;
-  spin_sweeps_ = config.spin_sweeps > 0 ? config.spin_sweeps : 1;
 
   workers_.reserve(static_cast<std::size_t>(w));
   for (int i = 0; i < w; ++i) workers_.push_back(std::make_unique<Worker>());
@@ -51,11 +52,11 @@ TaskScheduler::TaskScheduler(const Config& config) {
   victim_order_.assign(static_cast<std::size_t>(w), {});
   for (int i = 0; i < w; ++i) {
     auto& order = victim_order_[static_cast<std::size_t>(i)];
-    const int my_cluster = i / cluster;
+    const int my_cluster = i / kClusterSize;
     std::vector<int> remote;
     for (int k = 1; k < w; ++k) {
       const int v = (i + k) % w;
-      if (v / cluster == my_cluster) {
+      if (v / kClusterSize == my_cluster) {
         order.push_back(v);
       } else {
         remote.push_back(v);
@@ -143,7 +144,7 @@ void TaskScheduler::worker_loop(int w) {
     int victim = -1;
     const bool tracing = obs::Tracer::enabled();
     const double iter_start = tracing ? tracer.run_elapsed() : 0.0;
-    for (int sweep = 0; sweep < spin_sweeps_ && !found; ++sweep) {
+    for (int sweep = 0; sweep < kSpinSweeps && !found; ++sweep) {
       if (try_pop(w, &job)) {
         found = true;
       } else if (try_steal(w, &job, &victim)) {

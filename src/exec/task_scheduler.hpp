@@ -6,10 +6,10 @@
 //     pushes and pops at the back (LIFO — depth-first, cache-warm);
 //     thieves steal from the front (FIFO — oldest, biggest subtrees);
 //   * topology-aware victim order: workers are grouped into clusters of
-//     `cluster_size` (modelling a shared L2/L3 or NUMA node), and a thief
-//     sweeps its own cluster before crossing cluster boundaries;
-//   * idle policy: a starved worker re-sweeps every deque a few times,
-//     then parks on a condition variable; submit() wakes parked workers.
+//     4 (a typical core-complex / L3 group), and a thief sweeps its own
+//     cluster before crossing cluster boundaries;
+//   * idle policy: a starved worker re-sweeps every deque twice, then
+//     parks on a condition variable; submit() wakes parked workers.
 //
 // The scheduler runs two kinds of clients: explicit TaskGraph executions
 // (run_graph: atomically count down predecessors, release successors) and
@@ -58,11 +58,6 @@ class TaskScheduler {
     /// Worker thread count; 0 = $SPARTS_TASK_WORKERS, else the host's
     /// hardware concurrency (at least 1).
     int workers = 0;
-    /// Workers per cluster for the victim order; 0 = $SPARTS_TASK_CLUSTER,
-    /// else 4 (a typical core-complex / L3 group size).
-    int cluster_size = 0;
-    /// Full steal sweeps before a starved worker parks.
-    int spin_sweeps = 2;
   };
 
   using Job = std::function<void(const JobContext&)>;
@@ -122,7 +117,6 @@ class TaskScheduler {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::vector<int>> victim_order_;  ///< per worker, cluster-first
-  int spin_sweeps_ = 2;
 
   std::atomic<std::int64_t> queued_{0};  ///< jobs pushed, not yet popped
   std::atomic<int> parked_{0};           ///< workers asleep right now

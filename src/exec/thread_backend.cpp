@@ -77,7 +77,8 @@ class ThreadBackend::RankProcess final : public WallProcess<RankProcess> {
 // ---------------------------------------------------------------------------
 
 ThreadBackend::ThreadBackend(const Config& config)
-    : config_(config), topology_(config.topology, config.nprocs) {
+    : config_(config),
+      topology_(TopologyKind::fully_connected, config.nprocs) {
   SPARTS_CHECK(config.nprocs >= 1, "need at least one processor");
   SPARTS_CHECK(config.recv_timeout > 0.0, "recv_timeout must be positive");
   config_.use_spsc = spsc_enabled(config.use_spsc);

@@ -16,6 +16,9 @@
 //     Dekker handshake of exec/parking.hpp, so no wakeup is lost.
 //   * Per-source order is preserved (see the FIFO note in mailbox.hpp).
 //
+// Like the task and proc backends, it reports a fully connected
+// topology: wall-clock messages have no modelled hop distance.
+//
 // Failure handling mirrors simpar::Machine: an exception on one rank
 // aborts the run (waiting ranks unwind with a secondary DeadlockError) and
 // run() rethrows the root cause by rank order.  A genuine deadlock — every
@@ -43,7 +46,6 @@ class ThreadBackend final : public Comm {
     /// Carried only as a hint source (panel_flop etc.); the threaded
     /// backend never charges model time.
     CostModel cost{};
-    TopologyKind topology = TopologyKind::fully_connected;
     /// A recv() with no match for this long is declared a deadlock.
     double recv_timeout = 60.0;
     /// Use the SPSC ring fast path (false = every message through the

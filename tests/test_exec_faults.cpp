@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "exec/fault_backend.hpp"
 #include "exec/reliable.hpp"
+#include "exec/task_backend.hpp"
 #include "exec/thread_backend.hpp"
 #include "simpar/machine.hpp"
 
@@ -33,6 +34,13 @@ std::unique_ptr<exec::ThreadBackend> make_threads(index_t p,
   cfg.nprocs = p;
   cfg.recv_timeout = timeout;
   return std::make_unique<exec::ThreadBackend>(cfg);
+}
+
+std::unique_ptr<exec::TaskBackend> make_tasks(index_t p) {
+  exec::TaskBackend::Config cfg;
+  cfg.nprocs = p;
+  cfg.scheduler.workers = 2;
+  return std::make_unique<exec::TaskBackend>(cfg);
 }
 
 /// Payload content as a pure function of (src, tag, len): receivers can
@@ -274,6 +282,48 @@ TEST(Faulty, StallFiresOnceAndRunCompletes) {
                                 exec::ReliableConfig::for_simulated());
   backend.run([](exec::Process& proc) { ring_spmd(proc, 2); });
   EXPECT_EQ(fb->stats().stalls, 1);
+}
+
+/// Rank 1 stalls at its second operation while a message is already
+/// waiting for it, and reports how long that operation took on its own
+/// clock.  A wall-clock poll_wait returns early when a message is pending
+/// (or yields just once, on tasks), so this checks the stall waits out
+/// its whole length on every backend.
+double stalled_seconds(std::unique_ptr<exec::Comm> base, double stall) {
+  exec::FaultPlan plan;
+  plan.stall_rank = 1;
+  plan.stall_seconds = stall;
+  plan.stall_after = 2;
+  exec::FaultyBackend backend(std::move(base), plan);
+  double took = -1.0;
+  backend.run([&took](exec::Process& proc) {
+    constexpr int kFirst = 1, kPending = 2;
+    if (proc.rank() == 0) {
+      // Sent first, so it has arrived by the time rank 1 gets kFirst.
+      proc.send_values<real_t>(1, kPending, stamp(0, kPending, 8));
+      proc.send_values<real_t>(1, kFirst, stamp(0, kFirst, 8));
+    } else {
+      EXPECT_EQ(proc.recv_values<real_t>(0, kFirst), stamp(0, kFirst, 8));
+      const double t0 = proc.now();
+      EXPECT_EQ(proc.recv_values<real_t>(0, kPending),
+                stamp(0, kPending, 8));
+      took = proc.now() - t0;
+    }
+  });
+  EXPECT_EQ(backend.stats().stalls, 1);
+  return took;
+}
+
+TEST(Faulty, StallLastsItsFullLengthOnSimulator) {
+  EXPECT_GE(stalled_seconds(make_sim(2), 0.2), 0.2);
+}
+
+TEST(Faulty, StallLastsItsFullLengthOnThreads) {
+  EXPECT_GE(stalled_seconds(make_threads(2), 0.05), 0.05);
+}
+
+TEST(Faulty, StallLastsItsFullLengthOnTasks) {
+  EXPECT_GE(stalled_seconds(make_tasks(2), 0.05), 0.05);
 }
 
 // ---------------------------------------------------------------------------

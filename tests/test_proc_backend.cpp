@@ -505,8 +505,7 @@ TEST(ProcCohort, ChaosCorruptionRecoversUnderEnvelope) {
     // must be retransmitted, and the delivered data must be exact.
     setenv("SPARTS_CHAOS", "seed=21,corrupt=0.2", 1);
     auto sock = std::make_unique<SocketBackend>(cohort_config(r, p, dir.path));
-    ReliableConfig rcfg = ReliableConfig::for_wire(sock->measured_rtt());
-    rcfg.acks = false;
+    const ReliableConfig rcfg = ReliableConfig::for_wire(sock->measured_rtt());
     ReliableBackend machine(std::move(sock), rcfg);
     machine.run([](Process& proc) {
       constexpr int kTag = 2;

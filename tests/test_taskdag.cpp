@@ -135,8 +135,7 @@ TEST(TaskScheduler, SeededRandomDagShapesDrainOnAllWorkerCounts) {
   // once per task on 1..16 workers.  The seed makes failures replayable.
   std::mt19937 rng(20260809);
   for (const int workers : {1, 2, 3, 4, 8, 16}) {
-    exec::TaskScheduler sched(
-        {.workers = workers, .cluster_size = 4, .spin_sweeps = 2});
+    exec::TaskScheduler sched({.workers = workers});
     for (int round = 0; round < 4; ++round) {
       const int n = 1 + static_cast<int>(rng() % 200);
       exec::TaskGraph g;

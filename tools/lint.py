@@ -55,12 +55,23 @@ Rules (see docs/static_analysis.md):
                   covers them, docs/static_analysis.md).  Deliberate
                   seq_cst is std::memory_order_seq_cst, plus an allow()
                   suppression only if the order is intentionally implicit.
+  env-knob-docs   Every SPARTS_* environment variable that src/ or tools/
+                  reads (getenv, or an env_* helper such as env_flag,
+                  env_int, env_ms, with the name as a string literal)
+                  must be named somewhere in docs/ or README.md, and
+                  every knob-table row in docs/ (a line starting
+                  "| `SPARTS_...") must name a variable that code still
+                  reads.  An undocumented knob is a setting nobody can
+                  find; a documented one the code no longer reads is a
+                  setting that silently does nothing.  This rule joins
+                  code and docs, so it runs on the default whole-repo
+                  lint only, not when PATHs are given.
 
 Suppress a finding by appending `// sparts-lint: allow(<rule>)` to the
 offending line.
 
 Usage:
-  tools/lint.py            # lint src/ tools/ tests/ relative to the repo root
+  tools/lint.py            # lint src/ tools/ tests/ (and env-knob-docs)
   tools/lint.py PATH...    # lint the given files or directories
 
 Exit status: 0 when clean, 1 when any finding is reported, 2 on usage error.
@@ -226,6 +237,62 @@ def lint_default_seq_cst(
     return findings
 
 
+# ---------------------------------------------------------------------------
+# env-knob-docs: a repo-wide rule (it joins code and docs), so it runs once
+# over the tree rather than per file.
+# ---------------------------------------------------------------------------
+
+ENV_READ = re.compile(r'\b(?:getenv|env_\w+)\s*\(\s*"(SPARTS_[A-Z0-9_]+)"')
+ENV_NAME = re.compile(r"\bSPARTS_[A-Z0-9_]+")
+KNOB_ROW = re.compile(r"^\|\s*`(SPARTS_[A-Z0-9_]+)")
+
+
+def env_reads(root: pathlib.Path) -> dict[str, str]:
+    """SPARTS_* variables read by src/ and tools/ code, each mapped to the
+    first `file:line` that reads it."""
+    reads: dict[str, str] = {}
+    for f in collect_files([root / "src", root / "tools"]):
+        rel = f.relative_to(root)
+        for lineno, line in enumerate(
+            f.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            if line.lstrip().startswith("//"):
+                continue
+            if "env-knob-docs" in set(SUPPRESS.findall(line)):
+                continue
+            for m in ENV_READ.finditer(line):
+                reads.setdefault(m.group(1), f"{rel}:{lineno}")
+    return reads
+
+
+def lint_env_knob_docs(root: pathlib.Path) -> list[str]:
+    reads = env_reads(root)
+    docs = sorted((root / "docs").rglob("*.md"))
+    readme = root / "README.md"
+    documented: set[str] = set()
+    findings = []
+    for doc in docs + ([readme] if readme.is_file() else []):
+        text = doc.read_text(encoding="utf-8")
+        documented.update(ENV_NAME.findall(text))
+        if doc == readme:
+            continue
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            m = KNOB_ROW.match(line)
+            if m and m.group(1) not in reads:
+                findings.append(
+                    f"{doc.relative_to(root)}:{lineno}: [env-knob-docs] "
+                    f"knob-table row for {m.group(1)}, which no code in "
+                    "src/ or tools/ reads; drop the row or the dead knob"
+                )
+    for name, where in sorted(reads.items(), key=lambda kv: kv[1]):
+        if name not in documented:
+            findings.append(
+                f"{where}: [env-knob-docs] {name} is read here but named "
+                "nowhere in docs/ or README.md; document the knob"
+            )
+    return findings
+
+
 def strip_comments_and_strings(text: str) -> str:
     """Replace comments and string/char literal bodies with spaces,
     preserving line structure so findings keep their line numbers."""
@@ -338,6 +405,8 @@ def main() -> int:
     findings = []
     for f in files:
         findings.extend(lint_file(f))
+    if not args.paths:
+        findings.extend(lint_env_knob_docs(REPO_ROOT))
 
     for line in findings:
         print(line)

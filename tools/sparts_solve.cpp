@@ -65,7 +65,8 @@ options:
   --amalgamate W,Z      relaxed supernodes: max width W, relax Z zeros/col
 
 robustness (see docs/robustness.md):
-  --faults SPEC         fault scenario for the faulty backends, e.g.
+  --faults SPEC         fault scenario; needs --backend faulty or
+                        faulty-threads (exit 2 otherwise), e.g.
                         seed=42,drop=0.05,dup=0.02,delay=0.1:0.01,
                         reorder=0.05,stall=2@0.5,crash=1@40,max_faults=100
   --pivot MODE          fail (throw on a non-positive pivot, default) |
@@ -183,6 +184,7 @@ int main(int argc, char** argv) {
     int refine = 0;
     bool report = false;
     bool condest = false;
+    bool faults = false;
     if (const char* env = std::getenv("SPARTS_TRACE")) {
       if (*env != '\0') trace_path = env;
     }
@@ -212,6 +214,7 @@ int main(int argc, char** argv) {
         options.kernels = parse_kernels(next());
       } else if (arg == "--faults") {
         options.fault_plan = exec::FaultPlan::parse(next());
+        faults = true;
       } else if (arg == "--pivot") {
         options.pivot_mode = parse_pivot(next());
       } else if (arg == "--proc-rank") {
@@ -260,6 +263,15 @@ int main(int argc, char** argv) {
       std::cerr << "error: --procs must be a power of two (1, 2, 4, ...) "
                    "or 0 for the sequential solve, got "
                 << procs << "\n";
+      return 2;
+    }
+
+    // Only the fault-injecting backends act on a fault plan; anywhere else
+    // it would be silently ignored.
+    if (faults && options.backend != solver::ExecutionBackend::faulty &&
+        options.backend != solver::ExecutionBackend::faulty_threads) {
+      std::cerr << "error: --faults needs --backend faulty or "
+                   "faulty-threads\n";
       return 2;
     }
 
