@@ -46,12 +46,8 @@ struct Measurement {
 Measurement measure(const sparse::SymmetricCsc& a,
                     const std::vector<real_t>& b, const Scenario& sc) {
   solver::Options opt;
-  if (sc.plan.empty()) {
-    opt.backend = solver::ExecutionBackend::threads;
-  } else {
-    opt.backend = solver::ExecutionBackend::faulty_threads;
-    opt.fault_plan = exec::FaultPlan::parse(sc.plan);
-  }
+  opt.backend = solver::ExecutionBackend::threads;
+  if (!sc.plan.empty()) opt.fault_plan = exec::FaultPlan::parse(sc.plan);
   Measurement best;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto r = solver::parallel_solve(a, b, 1, 4, opt);

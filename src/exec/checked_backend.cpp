@@ -469,9 +469,6 @@ CheckedBackend::CheckedBackend(Comm& inner)
 CheckedBackend::CheckedBackend(Comm& inner, Options options)
     : inner_(&inner), options_(options) {}
 
-CheckedBackend::CheckedBackend(std::unique_ptr<Comm> inner)
-    : CheckedBackend(std::move(inner), Options{}) {}
-
 CheckedBackend::CheckedBackend(std::unique_ptr<Comm> inner, Options options)
     : inner_(inner.get()), owned_(std::move(inner)), options_(options) {
   SPARTS_CHECK(inner_ != nullptr, "checked backend needs an inner backend");

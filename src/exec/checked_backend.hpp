@@ -107,7 +107,6 @@ class CheckedBackend final : public Comm {
   explicit CheckedBackend(Comm& inner);
   CheckedBackend(Comm& inner, Options options);
   /// Wrap and own a backend.
-  explicit CheckedBackend(std::unique_ptr<Comm> inner);
   CheckedBackend(std::unique_ptr<Comm> inner, Options options);
   ~CheckedBackend() override;
 

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -62,10 +63,14 @@ double parse_prob(const std::string& key, const std::string& v) {
   return p;
 }
 
-void record_fault(const char* name, index_t rank, index_t peer, int tag) {
-  if (obs::metrics_enabled()) {
-    obs::metrics().counter(std::string("faults.injected.") + name).add();
-  }
+}  // namespace
+
+void record_fault_event(const char* name, index_t rank, index_t peer,
+                        int tag) {
+  // Faults are rare, so the always-on flight note costs nothing.
+  obs::flight_note(static_cast<std::int32_t>(rank), name,
+                   static_cast<std::int64_t>(peer),
+                   static_cast<std::int64_t>(tag));
   if (obs::Tracer::enabled()) {
     obs::Tracer::instance().record(static_cast<std::int32_t>(rank),
                                    obs::EventKind::instant,
@@ -75,8 +80,6 @@ void record_fault(const char* name, index_t rank, index_t peer, int tag) {
                                    static_cast<std::int64_t>(tag));
   }
 }
-
-}  // namespace
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
@@ -162,15 +165,6 @@ std::string FaultPlan::summary() const {
   return oss.str();
 }
 
-std::string FaultStats::summary() const {
-  std::ostringstream oss;
-  oss << "injected " << injected() << " fault(s): " << drops << " drop(s), "
-      << dups << " dup(s), " << delays << " delay(s), " << reorders
-      << " reorder(s), " << stalls << " stall(s), " << crashes
-      << " crash(es)";
-  return oss.str();
-}
-
 // ---------------------------------------------------------------------------
 // FaultyProcess
 // ---------------------------------------------------------------------------
@@ -204,13 +198,13 @@ class FaultyBackend::FaultyProcess final : public Process {
                          : 2.0;  // > any cumulative probability: no fault
     if (r < plan_.drop) {
       ++stats_.drops;
-      record_fault("drop", rank(), dst, tag);
+      inject("drop", dst, tag);
       release_reorder_slot();
       return;
     }
     if (r < plan_.drop + plan_.dup) {
       ++stats_.dups;
-      record_fault("dup", rank(), dst, tag);
+      inject("dup", dst, tag);
       inner_->send(dst, tag, payload);
       inner_->send(dst, tag, payload);
       release_reorder_slot();
@@ -218,7 +212,7 @@ class FaultyBackend::FaultyProcess final : public Process {
     }
     if (r < plan_.drop + plan_.dup + plan_.delay_prob) {
       ++stats_.delays;
-      record_fault("delay", rank(), dst, tag);
+      inject("delay", dst, tag);
       held_.push_back(Held{dst, tag, now() + plan_.delay_seconds,
                            std::vector<std::byte>(payload.begin(),
                                                   payload.end())});
@@ -227,7 +221,7 @@ class FaultyBackend::FaultyProcess final : public Process {
     if (r < plan_.drop + plan_.dup + plan_.delay_prob + plan_.reorder &&
         !reorder_slot_.has_value()) {
       ++stats_.reorders;
-      record_fault("reorder", rank(), dst, tag);
+      inject("reorder", dst, tag);
       reorder_slot_ = Held{dst, tag, 0.0,
                            std::vector<std::byte>(payload.begin(),
                                                   payload.end())};
@@ -272,6 +266,14 @@ class FaultyBackend::FaultyProcess final : public Process {
     std::vector<std::byte> payload;
   };
 
+  /// Count an injected fault in the metrics and record it.
+  void inject(const char* name, index_t peer, int tag) {
+    if (obs::metrics_enabled()) {
+      obs::metrics().counter(std::string("faults.injected.") + name).add();
+    }
+    record_fault_event(name, rank(), peer, tag);
+  }
+
   bool budget_left() const {
     return plan_.max_faults < 0 ||
            stats_.drops + stats_.dups + stats_.delays + stats_.reorders <
@@ -285,10 +287,10 @@ class FaultyBackend::FaultyProcess final : public Process {
         ops_ >= plan_.stall_after) {
       stalled_ = true;
       ++stats_.stalls;
-      record_fault("stall", rank(), rank(), 0);
+      inject("stall", rank(), 0);
       // One poll_wait is the whole stall on the simulator, but a
-      // wall-clock wait may end early (threads wake on a pending message,
-      // a fiber yields once), so keep waiting until the deadline passes.
+      // wall-clock wait ends early when a message arrives (threads and
+      // fibers alike), so keep waiting until the deadline passes.
       const double until = inner_->now() + plan_.stall_seconds;
       inner_->poll_wait(plan_.stall_seconds);
       for (double left = until - inner_->now(); left > 0.0;
@@ -298,7 +300,7 @@ class FaultyBackend::FaultyProcess final : public Process {
     }
     if (plan_.crash_rank == rank() && ops_ >= plan_.crash_after) {
       ++stats_.crashes;
-      record_fault("crash", rank(), rank(), 0);
+      inject("crash", rank(), 0);
       backend_->merge(stats_);
       stats_ = FaultStats{};  // merged; don't double-count in finish path
       throw InjectedFault(

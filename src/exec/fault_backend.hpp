@@ -6,7 +6,8 @@
 // duplication, delay, and reordering, plus one-shot rank stall and rank
 // crash events.  Every per-message decision is a pure function of
 // (seed, rank, per-rank send counter), so a scenario replays identically
-// on the simulator and, up to wall-clock timing, on the thread backend.
+// on the simulator and, up to wall-clock timing, on the thread and task
+// backends.
 //
 // Faults are injected *below* the reliability envelope (exec/reliable.hpp)
 // in the solver's faulty stack, so the envelope sees drops/dups/delays and
@@ -21,8 +22,8 @@
 // self-inflicted deadlocks when no polling consumer runs above).
 //
 // Crash semantics: the configured rank throws InjectedFault once its
-// send+recv operation counter reaches the threshold.  Both backends abort
-// the run and rethrow InjectedFault ahead of the secondary unwinds.
+// send+recv operation counter reaches the threshold.  Every base aborts
+// the run and rethrows InjectedFault ahead of the secondary unwinds.
 #pragma once
 
 #include <cstdint>
@@ -82,8 +83,13 @@ struct FaultStats {
   std::int64_t injected() const {
     return drops + dups + delays + reorders + stalls + crashes;
   }
-  std::string summary() const;
 };
+
+/// Record an injected fault or an envelope recovery step (nack,
+/// retransmit, ...) on `rank`: always in the flight recorder, and as a
+/// `fault` trace instant when tracing is on.  `name` must be a literal.
+void record_fault_event(const char* name, index_t rank, index_t peer,
+                        int tag);
 
 /// Decorator Comm: forwards to an inner backend while injecting the
 /// FaultPlan's events into the traffic.
@@ -98,7 +104,6 @@ class FaultyBackend final : public Comm {
   const Topology& topology() const override { return inner_->topology(); }
   bool distributed() const override { return inner_->distributed(); }
 
-  const FaultPlan& plan() const { return plan_; }
   /// Injection counts of the most recent run() (zero before the first).
   const FaultStats& stats() const { return stats_; }
 

@@ -139,9 +139,10 @@ class Process {
   /// message delivery: on the simulator the rank's clock advances and the
   /// scheduler token is handed back (so peers can run); on the threaded
   /// backend the calling thread waits on its mailbox and wakes early when
-  /// a message arrives or the run aborts.  Used by polling loops between
-  /// try_recv attempts; defaults to elapse() for backends without a
-  /// dedicated implementation.
+  /// a message arrives or the run aborts; a task-backend fiber yields to
+  /// its peers until the same deadline or arrival.  Used by polling loops
+  /// between try_recv attempts; defaults to elapse() for backends without
+  /// a dedicated implementation.
   virtual void poll_wait(double seconds) { elapse(seconds); }
 
   virtual const CostModel& cost() const = 0;

@@ -8,8 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "exec/fault_backend.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace sparts::exec {
 
@@ -55,15 +55,6 @@ constexpr double kTicksPerTimeout = 16.0;
 
 static_assert(std::is_trivially_copyable_v<WireHeader>);
 static_assert(std::is_trivially_copyable_v<CtrlMsg>);
-
-void record_instant(const char* name, index_t rank, index_t peer, int tag) {
-  if (!obs::Tracer::enabled()) return;
-  obs::Tracer::instance().record(static_cast<std::int32_t>(rank),
-                                 obs::EventKind::instant, obs::Category::fault,
-                                 name, obs::Tracer::instance().timeline(),
-                                 static_cast<std::int64_t>(peer),
-                                 static_cast<std::int64_t>(tag));
-}
 
 }  // namespace
 
@@ -113,14 +104,6 @@ std::string RankProgress::note() const {
     out += std::to_string(note_item);
   }
   return out;
-}
-
-std::string ReliableStats::summary() const {
-  std::ostringstream oss;
-  oss << data_sends << " data send(s), " << retransmits << " retransmit(s), "
-      << dup_discarded << " duplicate(s) discarded, " << nacks
-      << " nack(s), " << timeouts << " timeout(s)";
-  return oss.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -216,7 +199,7 @@ class ReliableBackend::ReliableProcess final : public Process {
         if (!delivered_[{m.source, tag}].insert(h.seq).second) {
           ++stats_.dup_discarded;
           ++prog_.dup_discarded;
-          record_instant("dup_discarded", rank_, m.source, tag);
+          record_fault_event("dup_discarded", rank_, m.source, tag);
           continue;
         }
         ++prog_.recvs;
@@ -227,7 +210,7 @@ class ReliableBackend::ReliableProcess final : public Process {
       if (waited >= wait) {
         if (attempts >= cfg_.max_retry) {
           ++stats_.timeouts;
-          record_instant("recv_timeout", rank_, src, tag);
+          record_fault_event("recv_timeout", rank_, src, tag);
           std::ostringstream oss;
           oss << "reliable envelope: rank " << rank_
               << " gave up waiting for " << prog_.last_wait << " after "
@@ -294,7 +277,7 @@ class ReliableBackend::ReliableProcess final : public Process {
   void send_nack(index_t src, int tag) {
     const CtrlMsg nack{kMagic, kNack, tag, 0, 0};
     ++stats_.nacks;
-    record_instant("nack", rank_, src, tag);
+    record_fault_event("nack", rank_, src, tag);
     if (src == kAnySource) {
       // Wildcard recv: the sender is unknown, so ask everyone; peers with
       // nothing buffered on this (dst, tag) edge ignore it.
@@ -343,7 +326,7 @@ class ReliableBackend::ReliableProcess final : public Process {
       inner_->send(dst, tag, wire);
       ++stats_.retransmits;
       ++prog_.retransmits;
-      record_instant("retransmit", rank_, dst, tag);
+      record_fault_event("retransmit", rank_, dst, tag);
     }
   }
 

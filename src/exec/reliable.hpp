@@ -37,8 +37,8 @@
 // already exited.
 //
 // The envelope changes simulated timings (polling advances the virtual
-// clock), so the solver only applies it on the fault-injecting backends;
-// the paper-reproduction backends stay byte-identical to earlier PRs.
+// clock), so the solver applies it only under a fault plan and on the
+// process backend; the plain bases keep the paper's timings.
 #pragma once
 
 #include <cstddef>
@@ -84,7 +84,6 @@ struct ReliableStats {
   std::int64_t dup_discarded = 0;
   std::int64_t nacks = 0;
   std::int64_t timeouts = 0;
-  std::string summary() const;
 };
 
 /// What one rank had achieved when the run ended (normally or not);
@@ -123,8 +122,6 @@ class ReliableBackend final : public Comm {
   const std::vector<RankProgress>& progress() const { return progress_; }
   /// Multi-line per-rank progress report (one line per rank).
   std::string progress_report() const;
-  /// The wrapped backend (e.g. to reach a FaultyBackend's stats()).
-  const Comm& inner() const { return *inner_; }
 
   class ReliableProcess;
 

@@ -179,7 +179,8 @@ class TaskBackend::FiberProcess final : public WallProcess<FiberProcess> {
   friend class WallProcess<FiberProcess>;
 
   // take() suspends the fiber until a match arrives; deliver() re-readies
-  // a receiver parked on a wait the message satisfies; wait() yields once.
+  // a receiver parked on a wait the message satisfies; wait() yields until
+  // its deadline passes or a message arrives.
   void deliver(index_t dst, int tag, Payload&& payload);
   ReceivedMessage take(index_t src, int tag);
   bool take_now(index_t src, int tag, ReceivedMessage* out);
@@ -498,24 +499,25 @@ void TaskBackend::FiberProcess::deliver(index_t dst, int tag,
   backend_.wake_if_waiting_locked(d, fiber_, tag);
 }
 
-void TaskBackend::FiberProcess::wait(double /*seconds*/) {
-  // A fiber cannot sleep wall-clock time without wedging its worker, and
-  // it does not need to: yielding reschedules it behind every runnable
-  // peer, so by the time it runs again anything that could arrive "soon"
-  // has arrived.  The poll loops above this (exec/reliable.cpp) treat the
-  // elapsed wait as backend time, which for this backend is simply the
-  // time the other fibers used.
-  {
-    std::lock_guard<std::mutex> lock(backend_.state_mutex_);
-    if (backend_.aborted_) throw run_aborted("task", rank(), "polling");
-    if (backend_.live_ <= 1) return;  // no peer can send: do not yield
-    fiber_.pause = Fiber::Pause::yielded;
-  }
-  switch_out_of_fiber(fiber_);
-  std::lock_guard<std::mutex> lock(backend_.state_mutex_);
-  if (fiber_.abort_on_resume || backend_.aborted_) {
-    fiber_.abort_on_resume = false;
-    throw run_aborted("task", rank(), "polling");
+void TaskBackend::FiberProcess::wait(double seconds) {
+  // A fiber cannot sleep without wedging its worker, so it yields behind
+  // every runnable peer until `seconds` have passed or a message arrives.
+  // One yield is not enough: the envelope (exec/reliable.cpp) counts each
+  // wait as its full duration.  A yielded fiber is never parked, so an
+  // abort reaches it through aborted_ alone.
+  const double deadline = now() + seconds;
+  for (bool yielded = false;; yielded = true) {
+    {
+      std::lock_guard<std::mutex> lock(backend_.state_mutex_);
+      if (backend_.aborted_) throw run_aborted("task", rank(), "polling");
+      if (backend_.live_ <= 1) return;  // no peer can send: do not yield
+      if (yielded &&
+          (now() >= deadline || fiber_.mail->arrivals_pending())) {
+        return;
+      }
+      fiber_.pause = Fiber::Pause::yielded;
+    }
+    switch_out_of_fiber(fiber_);
   }
 }
 

@@ -47,16 +47,6 @@ constexpr BackendInfo kBackends[] = {
      "one std::thread per rank, wall clock"},
     {"tasks", ExecutionBackend::tasks,
      "rank fibers on a work-stealing task-DAG scheduler, wall clock"},
-    {"checked", ExecutionBackend::checked,
-     "sim audited for races / tag collisions / orphaned sends / deadlock "
-     "cycles; findings fail the run"},
-    {"checked-threads", ExecutionBackend::checked_threads,
-     "the same audit over the threaded backend"},
-    {"faulty", ExecutionBackend::faulty,
-     "sim with the --faults scenario injected under the reliability "
-     "envelope"},
-    {"faulty-threads", ExecutionBackend::faulty_threads,
-     "the same fault stack over threads"},
     {"proc", ExecutionBackend::proc,
      "each rank an OS process over TCP (tools/sparts_launch forks the "
      "cohort); CRC-checked frames under the reliability envelope, "
@@ -96,57 +86,47 @@ symbolic::SupernodePartition analyze(const sparse::SymmetricCsc& a_perm,
   return part;
 }
 
-/// One fresh backend per phase, so each phase's stats start from zero (the
+/// The Comm stack of one phase, with the layers the result accounting
+/// reads (null where the stack has no such layer).
+struct BackendStack {
+  std::unique_ptr<exec::Comm> comm;  ///< the top of the stack
+  const exec::TaskBackend* tasks = nullptr;
+  const exec::FaultyBackend* faulty = nullptr;
+  const exec::ReliableBackend* reliable = nullptr;
+  const exec::CheckedBackend* checked = nullptr;
+};
+
+/// The one place a stack is composed: the base, then Reliable(Faulty(.))
+/// when a fault plan is set, then Checked(.) under Options::check.  One
+/// fresh stack per phase, so each phase's stats start from zero (the
 /// simulator additionally requires a fresh Machine per run for determinism
 /// of message sequence numbers).
-std::unique_ptr<exec::Comm> make_backend(ExecutionBackend backend, index_t p,
-                                         const Options& options) {
-  switch (backend) {
+BackendStack make_backend(index_t p, const Options& options) {
+  BackendStack s;
+  switch (options.backend) {
     case ExecutionBackend::simulated: {
       simpar::Machine::Config cfg;
       cfg.nprocs = p;
       cfg.cost = exec::CostModel::t3d();
       cfg.topology = exec::TopologyKind::hypercube;
-      return std::make_unique<simpar::Machine>(cfg);
+      s.comm = std::make_unique<simpar::Machine>(cfg);
+      break;
     }
     case ExecutionBackend::threads: {
       exec::ThreadBackend::Config cfg;
       cfg.nprocs = p;
       cfg.cost = exec::CostModel::t3d();
-      return std::make_unique<exec::ThreadBackend>(cfg);
+      s.comm = std::make_unique<exec::ThreadBackend>(cfg);
+      break;
     }
     case ExecutionBackend::tasks: {
       exec::TaskBackend::Config cfg;
       cfg.nprocs = p;
       cfg.cost = exec::CostModel::t3d();
-      return std::make_unique<exec::TaskBackend>(cfg);
-    }
-    case ExecutionBackend::checked:
-    case ExecutionBackend::checked_threads: {
-      auto inner = make_backend(backend == ExecutionBackend::checked
-                                    ? ExecutionBackend::simulated
-                                    : ExecutionBackend::threads,
-                                p, options);
-      exec::CheckedBackend::Options copts;
-      copts.throw_on_findings = true;
-      return std::make_unique<exec::CheckedBackend>(std::move(inner), copts);
-    }
-    case ExecutionBackend::faulty:
-    case ExecutionBackend::faulty_threads: {
-      // Reliable(Faulty(base)): faults are injected below the envelope so
-      // the envelope has to recover from them.  No CheckedBackend in this
-      // stack — its FIFO bookkeeping would (correctly) flag the injected
-      // duplicates as protocol violations.
-      const bool sim = backend == ExecutionBackend::faulty;
-      auto inner = make_backend(
-          sim ? ExecutionBackend::simulated : ExecutionBackend::threads, p,
-          options);
-      auto faulty = std::make_unique<exec::FaultyBackend>(std::move(inner),
-                                                          options.fault_plan);
-      exec::ReliableConfig rcfg = sim ? exec::ReliableConfig::for_simulated()
-                                      : exec::ReliableConfig::for_threads();
-      rcfg.from_env();
-      return std::make_unique<exec::ReliableBackend>(std::move(faulty), rcfg);
+      auto tasks = std::make_unique<exec::TaskBackend>(cfg);
+      s.tasks = tasks.get();
+      s.comm = std::move(tasks);
+      break;
     }
     case ExecutionBackend::proc: {
       // Reliable(Socket): the wire delivers only frames whose CRC checks
@@ -166,58 +146,80 @@ std::unique_ptr<exec::Comm> make_backend(ExecutionBackend backend, index_t p,
       exec::ReliableConfig rcfg =
           exec::ReliableConfig::for_wire(sock->measured_rtt());
       rcfg.from_env();
-      return std::make_unique<exec::ReliableBackend>(std::move(sock), rcfg);
+      auto reliable =
+          std::make_unique<exec::ReliableBackend>(std::move(sock), rcfg);
+      s.reliable = reliable.get();
+      s.comm = std::move(reliable);
+      return s;  // validate_backend_stack: no decorators over proc
     }
   }
-  throw InvalidArgument("unknown execution backend");
+  if (options.fault_plan) {
+    // Faults are injected below the envelope, so the envelope has to
+    // recover from them.  validate_backend_stack keeps Checked out of this
+    // stack: its FIFO bookkeeping would (correctly) flag the injected
+    // duplicates as protocol violations.
+    auto faulty = std::make_unique<exec::FaultyBackend>(std::move(s.comm),
+                                                        *options.fault_plan);
+    s.faulty = faulty.get();
+    exec::ReliableConfig rcfg =
+        options.backend == ExecutionBackend::simulated
+            ? exec::ReliableConfig::for_simulated()
+            : exec::ReliableConfig::for_threads();
+    rcfg.from_env();
+    auto reliable =
+        std::make_unique<exec::ReliableBackend>(std::move(faulty), rcfg);
+    s.reliable = reliable.get();
+    s.comm = std::move(reliable);
+  }
+  if (options.check) {
+    exec::CheckedBackend::Options copts;
+    copts.throw_on_findings = true;
+    auto checked =
+        std::make_unique<exec::CheckedBackend>(std::move(s.comm), copts);
+    s.checked = checked.get();
+    s.comm = std::move(checked);
+  }
+  return s;
 }
 
-/// Fold a checked backend's per-phase report into the result totals.
-void accumulate_report(const exec::Comm& machine, ParallelSolveResult* r) {
-  if (const auto* checked =
-          dynamic_cast<const exec::CheckedBackend*>(&machine)) {
+/// Fold the stack's per-phase reports into the result totals.
+void accumulate_report(const BackendStack& s, ParallelSolveResult* r) {
+  if (s.checked != nullptr) {
     r->analysis_findings +=
-        static_cast<std::int64_t>(checked->report().findings.size());
-    r->checked_messages += checked->report().sends;
+        static_cast<std::int64_t>(s.checked->report().findings.size());
+    r->checked_messages += s.checked->report().sends;
   }
-  if (const auto* tasks = dynamic_cast<const exec::TaskBackend*>(&machine)) {
-    const exec::SchedulerStats s = tasks->last_scheduler_stats();
-    r->task_scheduler.workers = s.workers;
-    r->task_scheduler.jobs_run += s.jobs_run;
-    r->task_scheduler.steals += s.steals;
-    r->task_scheduler.parks += s.parks;
+  if (s.tasks != nullptr) {
+    const exec::SchedulerStats st = s.tasks->last_scheduler_stats();
+    r->task_scheduler.workers = st.workers;
+    r->task_scheduler.jobs_run += st.jobs_run;
+    r->task_scheduler.steals += st.steals;
+    r->task_scheduler.parks += st.parks;
   }
-  if (const auto* reliable =
-          dynamic_cast<const exec::ReliableBackend*>(&machine)) {
-    r->retransmits += reliable->stats().retransmits;
-    r->dup_discarded += reliable->stats().dup_discarded;
-    if (const auto* faulty =
-            dynamic_cast<const exec::FaultyBackend*>(&reliable->inner())) {
-      r->faults_injected += faulty->stats().injected();
-    }
+  if (s.reliable != nullptr) {
+    r->retransmits += s.reliable->stats().retransmits;
+    r->dup_discarded += s.reliable->stats().dup_discarded;
   }
+  if (s.faulty != nullptr) r->faults_injected += s.faulty->stats().injected();
 }
 
-/// Per-rank progress of an enveloped run, empty for other backends.
-std::string progress_of(const exec::Comm& machine) {
-  const auto* reliable = dynamic_cast<const exec::ReliableBackend*>(&machine);
-  return reliable != nullptr ? reliable->progress_report() : std::string();
+/// Per-rank progress of an enveloped run, empty for other stacks.
+std::string progress_of(const BackendStack& s) {
+  return s.reliable != nullptr ? s.reliable->progress_report() : std::string();
 }
 
 /// Critical-path analysis of the phase the tasks backend just executed
 /// (its measured fiber-segment DAG); an invalid report for every other
-/// backend, which records no executed profile.
-obs::CriticalPathReport critical_path_of(const exec::Comm& machine) {
-  if (const auto* tasks = dynamic_cast<const exec::TaskBackend*>(&machine)) {
-    return obs::critical_path(tasks->last_executed_profile(),
-                              tasks->last_scheduler_stats().workers);
-  }
-  return {};
+/// base, which records no executed profile.
+obs::CriticalPathReport critical_path_of(const BackendStack& s) {
+  if (s.tasks == nullptr) return {};
+  return obs::critical_path(s.tasks->last_executed_profile(),
+                            s.tasks->last_scheduler_stats().workers);
 }
 
 /// Tag plane of the post-phase cohort mirrors (allmerge_nonzero uses
 /// kMirrorTagBase .. +p-2, the perturbation allreduce kMirrorTagBase+p);
-/// mirrors run in their own machine->run(), so these tags cannot collide
+/// mirrors run in their own Comm::run(), so these tags cannot collide
 /// with any phase traffic.
 constexpr int kMirrorTagBase = 0;
 
@@ -372,37 +374,32 @@ void maybe_arm_test_kill(const Options& options, const char* phase) {
 /// deadline, deadlock) become a structured SolveError naming the phase,
 /// carrying the flight recorder's recent-event window as the postmortem.
 template <typename Fn>
-auto run_phase(const char* phase, const exec::Comm& machine,
+auto run_phase(const char* phase, const BackendStack& stack,
                ParallelSolveResult* result, Fn&& fn) {
+  const auto failed = [&](const Error& e, std::string progress) {
+    accumulate_report(stack, result);
+    return SolveError(phase, e.what(), std::move(progress),
+                      obs::FlightRecorder::instance().dump_text());
+  };
   try {
     return fn();
-  } catch (const InjectedFault& e) {
-    accumulate_report(machine, result);
-    throw SolveError(phase, e.what(), progress_of(machine),
-                     obs::FlightRecorder::instance().dump_text());
   } catch (const TimeoutError& e) {
-    accumulate_report(machine, result);
     // The envelope already appended its progress report to the message.
-    throw SolveError(phase, e.what(), "",
-                     obs::FlightRecorder::instance().dump_text());
+    throw failed(e, "");
+  } catch (const InjectedFault& e) {
+    throw failed(e, progress_of(stack));
   } catch (const DeadlockError& e) {
-    accumulate_report(machine, result);
-    throw SolveError(phase, e.what(), progress_of(machine),
-                     obs::FlightRecorder::instance().dump_text());
+    throw failed(e, progress_of(stack));
   } catch (const exec::PeerFailure& e) {
     // Socket backend: a peer stopped heartbeating (crashed, was killed,
     // or sits behind a partition past the suspicion window).  The message
     // names the suspected rank and its last-contact age.
-    accumulate_report(machine, result);
-    throw SolveError(phase, e.what(), progress_of(machine),
-                     obs::FlightRecorder::instance().dump_text());
+    throw failed(e, progress_of(stack));
   } catch (const exec::RemoteAbort& e) {
     // A peer rank aborted first (its exception was broadcast); surface
     // the originating rank's cause here so every survivor reports the
     // same root cause instead of a cascade of secondary timeouts.
-    accumulate_report(machine, result);
-    throw SolveError(phase, e.what(), progress_of(machine),
-                     obs::FlightRecorder::instance().dump_text());
+    throw failed(e, progress_of(stack));
   }
 }
 
@@ -433,6 +430,20 @@ const BackendInfo& execution_backend_info(ExecutionBackend backend) {
     if (info.backend == backend) return info;
   }
   throw InvalidArgument("execution backend missing from registry");
+}
+
+void validate_backend_stack(const Options& options) {
+  if (options.check && options.fault_plan) {
+    throw InvalidArgument(
+        "the message audit (check) and a fault plan do not stack: the "
+        "audit would flag the injected duplicates");
+  }
+  if (options.backend == ExecutionBackend::proc &&
+      (options.check || options.fault_plan)) {
+    throw InvalidArgument(
+        "the proc backend takes no check or fault plan (wire faults come "
+        "from SPARTS_CHAOS)");
+  }
 }
 
 SparseSolver SparseSolver::factorize(const sparse::SymmetricCsc& a,
@@ -529,6 +540,7 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
                                    index_t p, const Options& options) {
   const index_t n = a.n();
   SPARTS_CHECK(static_cast<index_t>(b.size()) == n * m);
+  validate_backend_stack(options);
 
   dense::set_kernel_impl(options.kernels);
   dense::set_pivot_policy({options.pivot_mode, options.pivot_rel_floor});
@@ -566,18 +578,19 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
   if (!result.factor_from_checkpoint) {
     obs::PhaseScope phase("factorization");
     maybe_arm_test_kill(options, "factorization");
-    auto machine = make_backend(options.backend, p, options);
+    const BackendStack stack = make_backend(p, options);
+    exec::Comm& machine = *stack.comm;
     const parfact::Report report = run_phase(
-        "factorization", *machine, &result, [&] {
-          return parfact::parallel_multifrontal(*machine, a_perm, part,
+        "factorization", stack, &result, [&] {
+          return parfact::parallel_multifrontal(machine, a_perm, part,
                                                 fact_map, factor);
         });
     result.factor_time = report.time();
     result.factor_dag = report.graph;
-    result.factor_critical_path = critical_path_of(*machine);
+    result.factor_critical_path = critical_path_of(stack);
     phase.set_parallel(exec::to_phase_stats(report.stats));
-    accumulate_report(*machine, &result);
-    if (machine->distributed()) {
+    accumulate_report(stack, &result);
+    if (machine.distributed()) {
       // Process-separated ranks hold only the factor entries their own
       // rank computed, but everything downstream — redistribution
       // senders, the sequential prepack, host-side refinement — reads
@@ -586,8 +599,8 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
       // and order-independent.  The piggybacked allreduce makes the
       // perturbed-pivot count (and hence the degraded-status refinement
       // decision) identical on every rank.
-      run_phase("factor-mirror", *machine, &result, [&] {
-        machine->run([&](exec::Process& pr) {
+      run_phase("factor-mirror", stack, &result, [&] {
+        machine.run([&](exec::Process& pr) {
           const exec::Group g{0, p, 1};
           exec::allmerge_nonzero(pr, g, factor.values(), kMirrorTagBase);
           std::vector<real_t> perturbed{static_cast<real_t>(
@@ -622,15 +635,16 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
   } else {
     obs::PhaseScope phase("redistribution");
     maybe_arm_test_kill(options, "redistribution");
-    auto machine = make_backend(options.backend, p, options);
+    const BackendStack stack = make_backend(p, options);
+    exec::Comm& machine = *stack.comm;
     const redist::Report report = run_phase(
-        "redistribution", *machine, &result, [&] {
-          return redist::redistribute_factor(*machine, factor, solve_map,
+        "redistribution", stack, &result, [&] {
+          return redist::redistribute_factor(machine, factor, solve_map,
                                              redist_options, &local_factor);
         });
     result.redist_time = report.time();
     phase.set_parallel(exec::to_phase_stats(report.stats));
-    accumulate_report(*machine, &result);
+    accumulate_report(stack, &result);
   }
 
   // Phase 3: pipelined triangular solves.
@@ -662,38 +676,39 @@ ParallelSolveResult parallel_solve(const sparse::SymmetricCsc& a,
                                            tag_base);
           });
     }
-    auto machine = make_backend(options.backend, p, options);
+    const BackendStack stack = make_backend(p, options);
+    exec::Comm& machine = *stack.comm;
     std::vector<real_t> y_perm(b.size(), 0.0);
     {
       obs::PhaseScope phase("forward");
       maybe_arm_test_kill(options, "forward");
       const partrisolve::PhaseReport fw = run_phase(
-          "forward", *machine, &result,
-          [&] { return solver.forward(*machine, b_perm, y_perm, m); });
+          "forward", stack, &result,
+          [&] { return solver.forward(machine, b_perm, y_perm, m); });
       result.forward_time = fw.time();
       result.forward_dag = fw.graph;
-      result.forward_critical_path = critical_path_of(*machine);
+      result.forward_critical_path = critical_path_of(stack);
       phase.set_parallel(exec::to_phase_stats(fw.stats));
     }
     {
       obs::PhaseScope phase("backward");
       maybe_arm_test_kill(options, "backward");
       const partrisolve::PhaseReport bw = run_phase(
-          "backward", *machine, &result,
-          [&] { return solver.backward(*machine, y_perm, x_perm, m); });
+          "backward", stack, &result,
+          [&] { return solver.backward(machine, y_perm, x_perm, m); });
       result.backward_time = bw.time();
       result.backward_dag = bw.graph;
-      result.backward_critical_path = critical_path_of(*machine);
+      result.backward_critical_path = critical_path_of(stack);
       phase.set_parallel(exec::to_phase_stats(bw.stats));
     }
-    accumulate_report(*machine, &result);
-    if (machine->distributed()) {
+    accumulate_report(stack, &result);
+    if (machine.distributed()) {
       // Each process wrote only its own rank's rows of x_perm; mirror so
       // the host-side refinement and the un-permutation below see the
       // complete solution — and every rank of the cohort returns the
       // identical x.
-      run_phase("solution-mirror", *machine, &result, [&] {
-        machine->run([&](exec::Process& pr) {
+      run_phase("solution-mirror", stack, &result, [&] {
+        machine.run([&](exec::Process& pr) {
           exec::allmerge_nonzero(pr, exec::Group{0, p, 1},
                                  std::span<real_t>(x_perm), kMirrorTagBase);
         });

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,45 +35,26 @@ enum class OrderingMethod {
   rcm,
 };
 
-/// Which exec backend runs the parallel phases of parallel_solve.
+/// Which base exec backend runs the parallel phases of parallel_solve.
+/// Options::fault_plan and Options::check stack decorators over the three
+/// in-process bases; `proc` takes neither (validate_backend_stack).
 enum class ExecutionBackend {
   simulated,  ///< simpar::Machine: deterministic cost-model clocks
   threads,    ///< exec::ThreadBackend: one std::thread per rank, wall clock
-  /// exec::CheckedBackend over the simulator: every phase is audited for
-  /// wildcard races, tag collisions, orphaned sends and deadlock cycles;
-  /// any finding raises AnalysisError.  Times remain the simulated times.
-  checked,
-  /// exec::CheckedBackend over the threaded backend: same audit on real
-  /// concurrent executions.
-  checked_threads,
-  /// Reliability envelope over fault injection over the simulator: the
-  /// FaultPlan in Options drops/duplicates/delays/reorders messages and
-  /// the envelope (sequence numbers, dedup, NACK-driven retransmission)
-  /// recovers, or aborts with a structured SolveError.  Deterministic.
-  faulty,
-  /// The same stack over the threaded backend, with wall-clock timeouts.
-  faulty_threads,
   /// exec::TaskBackend: every rank is a fiber multiplexed on a
   /// work-stealing task-scheduler pool (as many workers as cores, not as
   /// many as ranks).  A recv with no matching message suspends the fiber —
   /// the wait becomes a dynamic dependency edge of the supernode task DAG
   /// — and the matching send re-readies it on the sender's worker.
   /// Results are bit-identical to `threads`; times are wall clock.
-  /// The checked/faulty decorators are not composed over this backend
-  /// (compose them over `threads` instead — same message semantics).
   tasks,
   /// exec::SocketBackend under the reliability envelope: this process is
-  /// ONE rank of a p-process cohort connected over TCP (tools/sparts_launch
-  /// forks the cohort on localhost; a rank file scales it out to multiple
-  /// machines).  Frames are CRC-checked; corruption becomes a drop the
-  /// envelope retransmits.  Heartbeat-based failure detection turns a dead
-  /// or wedged peer into a structured SolveError on every surviving rank
-  /// instead of a hang.  Results are bit-identical to `sim`/`threads`;
-  /// phase outputs are mirrored across the cohort after each phase
-  /// (exec::allmerge_nonzero), because process-separated ranks share no
-  /// address space.  The checked/faulty decorators are not composed over
-  /// this backend (chaos injection lives below the wire instead —
-  /// SPARTS_CHAOS, docs/robustness.md).
+  /// ONE rank of a p-process cohort over TCP (tools/sparts_launch forks
+  /// it), with CRC-checked frames and heartbeat failure detection that
+  /// turns a dead peer into a structured SolveError.  Results are
+  /// bit-identical to the other bases; phase outputs are mirrored across
+  /// the cohort after each phase (exec::allmerge_nonzero).  Wire faults
+  /// come from SPARTS_CHAOS (docs/robustness.md), not from a decorator.
   proc,
 };
 
@@ -112,9 +94,16 @@ struct Options {
   /// environment variable, `tiled` when unset.  Flop counts — and hence
   /// simulated times — are identical for both.
   dense::KernelImpl kernels = dense::kernel_impl_from_env();
-  /// Fault scenario injected by the `faulty` / `faulty_threads` backends;
-  /// ignored by the others.
-  exec::FaultPlan fault_plan;
+  /// Fault scenario.  When set, every parallel phase runs under
+  /// Reliable(Faulty(backend)): the plan drops/duplicates/delays/reorders
+  /// messages and the reliability envelope (sequence numbers, dedup,
+  /// NACK-driven retransmission) recovers, or aborts with a structured
+  /// SolveError.  A plan that injects nothing still gets the envelope.
+  std::optional<exec::FaultPlan> fault_plan;
+  /// Audit every parallel phase with exec::CheckedBackend (wildcard races,
+  /// tag collisions, orphaned sends, deadlock cycles); any finding raises
+  /// AnalysisError.  Reported times stay those of the base backend.
+  bool check = false;
   /// Pivot handling during factorization: `fail` throws NumericalError on
   /// a non-positive pivot; `perturb` boosts it to a positive floor and
   /// lets iterative refinement absorb the error (result status becomes
@@ -151,6 +140,11 @@ struct Options {
   /// writes; every rank reads.
   std::string checkpoint_dir;
 };
+
+/// Reject a decorator stack parallel_solve cannot build, with
+/// InvalidArgument: `check` together with a fault plan, or either one over
+/// `proc`.
+void validate_backend_stack(const Options& options);
 
 struct AnalysisInfo {
   nnz_t factor_nnz = 0;
@@ -240,15 +234,14 @@ struct ParallelSolveResult {
   double redist_time = 0.0;
   double forward_time = 0.0;
   double backward_time = 0.0;
-  /// Totals from the checked backend, summed over the three parallel
-  /// phases; all zero for the unchecked backends.  With a checked backend
-  /// any finding raises AnalysisError, so on normal return
-  /// analysis_findings is always 0 and checked_messages says how many
-  /// sends were audited.
+  /// Totals of the Options::check audit, summed over the three parallel
+  /// phases; all zero without it.  Under the audit any finding raises
+  /// AnalysisError, so on normal return analysis_findings is always 0 and
+  /// checked_messages says how many sends were audited.
   std::int64_t analysis_findings = 0;
   std::int64_t checked_messages = 0;
   /// Fault-tolerance accounting, summed over the parallel phases; all
-  /// zero unless a faulty backend (or perturbing pivot mode) was used.
+  /// zero unless a fault plan (or perturbing pivot mode) was used.
   SolveStatus status = SolveStatus::ok;
   std::int64_t faults_injected = 0;   ///< drops/dups/delays/... injected
   std::int64_t retransmits = 0;       ///< envelope recoveries
@@ -268,8 +261,9 @@ struct ParallelSolveResult {
   exec::GraphStats factor_dag;
   exec::GraphStats forward_dag;
   exec::GraphStats backward_dag;
-  /// Work-stealing counters of the tasks backend (all zero otherwise);
-  /// jobs/steals/parks are summed over the parallel phases.
+  /// Work-stealing counters of the tasks backend, with or without
+  /// decorators over it (all zero otherwise); jobs/steals/parks are summed
+  /// over the parallel phases.
   exec::SchedulerStats task_scheduler;
   /// Critical-path analyses of the *executed* fiber-segment DAGs, one per
   /// parallel phase — only the tasks backend records them (invalid() for

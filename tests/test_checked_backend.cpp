@@ -1,7 +1,8 @@
 // Tests for exec::CheckedBackend — the message-passing auditor.  Each
 // hazard the checker knows about (wildcard race, tag collision, orphaned
 // send, deadlock cycle) gets a micro-program that provokes it on purpose,
-// plus a clean full solver pipeline that must report zero findings.
+// plus a clean full solver pipeline on every in-process base that must
+// report zero findings.
 // Registered under the CTest label `analysis`.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "exec/checked_backend.hpp"
+#include "exec/task_backend.hpp"
 #include "exec/thread_backend.hpp"
 #include "simpar/machine.hpp"
 #include "solver/sparse_solver.hpp"
@@ -215,18 +217,31 @@ TEST(CheckedBackend, DeadlockCycleDiagnosedOnSimulator) {
   EXPECT_NE(f->detail.find("tag 6"), std::string::npos) << f->detail;
 }
 
-TEST(CheckedBackend, DeadlockCycleDiagnosedOnThreads) {
-  exec::ThreadBackend inner = make_threads(2, /*timeout=*/2.0);
+// Wall-clock inner backends: threads time the hang out, tasks detect it
+// exactly; either way the checker must name the cycle.
+void expect_deadlock_cycle(exec::Comm& inner) {
   exec::CheckedBackend backend(inner);
   EXPECT_THROW(backend.run(deadlock_program), DeadlockError);
   EXPECT_GE(backend.report().count(exec::Finding::Kind::deadlock_cycle), 1);
 }
 
+TEST(CheckedBackend, DeadlockCycleDiagnosedOnThreads) {
+  exec::ThreadBackend inner = make_threads(2, /*timeout=*/2.0);
+  expect_deadlock_cycle(inner);
+}
+
+TEST(CheckedBackend, DeadlockCycleDiagnosedOnTasks) {
+  exec::TaskBackend::Config cfg;
+  cfg.nprocs = 2;
+  exec::TaskBackend inner(cfg);
+  expect_deadlock_cycle(inner);
+}
+
 // The real workload criterion: a full distributed solve (parallel
 // factorization + redistribution + pipelined triangular solves) under the
-// checked simulator backend finishes with zero findings and the right
-// answer.  throw_on_findings is set inside parallel_solve, so any hazard
-// would abort the run with AnalysisError.
+// audit finishes with zero findings and the unaudited run's x, on every
+// in-process base.  throw_on_findings is set inside parallel_solve, so any
+// hazard would abort the run with AnalysisError.
 TEST(CheckedBackend, FullParallelSolveRunsCleanUnderChecked) {
   const sparse::SymmetricCsc a = sparse::grid2d(20, 20);
   const index_t m = 2;
@@ -234,28 +249,44 @@ TEST(CheckedBackend, FullParallelSolveRunsCleanUnderChecked) {
   for (std::size_t i = 0; i < b.size(); ++i) {
     b[i] = 1.0 + 0.01 * static_cast<real_t>(i % 17);
   }
-
-  solver::Options opt;
-  opt.backend = solver::ExecutionBackend::checked;
-  const auto result = solver::parallel_solve(a, b, m, 8, opt);
-  EXPECT_EQ(result.analysis_findings, 0);
-  EXPECT_GT(result.checked_messages, 0);
-
   const auto reference = solver::SparseSolver::factorize(a).solve(b, m);
-  ASSERT_EQ(result.x.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_NEAR(result.x[i], reference[i], 1e-8);
+
+  for (const solver::ExecutionBackend base :
+       {solver::ExecutionBackend::simulated, solver::ExecutionBackend::threads,
+        solver::ExecutionBackend::tasks}) {
+    SCOPED_TRACE(solver::execution_backend_info(base).name);
+    solver::Options opt;
+    opt.backend = base;
+    const auto plain = solver::parallel_solve(a, b, m, 8, opt);
+    opt.check = true;
+    const auto result = solver::parallel_solve(a, b, m, 8, opt);
+    EXPECT_EQ(result.analysis_findings, 0);
+    EXPECT_GT(result.checked_messages, 0);
+    EXPECT_EQ(result.x, plain.x);
+    ASSERT_EQ(result.x.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_NEAR(result.x[i], reference[i], 1e-8);
+    }
+    // The audit hides no layer beneath it: the scheduler statistics and
+    // the executed critical paths still come through.
+    if (base == solver::ExecutionBackend::tasks) {
+      EXPECT_GT(result.task_scheduler.workers, 0);
+      EXPECT_TRUE(result.factor_critical_path.valid());
+      EXPECT_TRUE(result.forward_critical_path.valid());
+      EXPECT_TRUE(result.backward_critical_path.valid());
+    }
   }
 }
 
-// Same audit on real concurrent threads (smaller problem: this one pays
-// for actual thread scheduling).
+// Same audit on real concurrent threads at p = 4 with a single right-hand
+// side (smaller problem: this one pays for actual thread scheduling).
 TEST(CheckedBackend, ParallelSolveRunsCleanUnderCheckedThreads) {
   const sparse::SymmetricCsc a = sparse::grid2d(12, 12);
   std::vector<real_t> b(static_cast<std::size_t>(a.n()), 1.0);
 
   solver::Options opt;
-  opt.backend = solver::ExecutionBackend::checked_threads;
+  opt.backend = solver::ExecutionBackend::threads;
+  opt.check = true;
   const auto result = solver::parallel_solve(a, b, 1, 4, opt);
   EXPECT_EQ(result.analysis_findings, 0);
   EXPECT_GT(result.checked_messages, 0);

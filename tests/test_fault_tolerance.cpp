@@ -1,10 +1,11 @@
 // End-to-end fault-tolerance scenarios through solver::parallel_solve:
 // the reliability envelope must recover from injected drops, duplicates,
 // delays, reorders and stalls with a solution bit-identical to the clean
-// run; a crash must surface as a structured SolveError (no hang); and a
-// singular matrix must complete with degraded status under the perturbing
-// pivot policy.  Registered under the CTest label `faults` and included in
-// the TSan preset, so the threaded scenarios run under the race detector.
+// run; a crash must surface as a structured SolveError (no hang) on every
+// in-process base; and a singular matrix must complete with degraded
+// status under the perturbing pivot policy.  Registered under the CTest
+// label `faults` and included in the TSan preset, so the threaded
+// scenarios run under the race detector.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,6 +14,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/flight_recorder.hpp"
 #include "solver/sparse_solver.hpp"
 #include "sparse/formats.hpp"
 #include "sparse/generators.hpp"
@@ -33,30 +35,54 @@ Problem make_problem() {
   return prob;
 }
 
-solver::ParallelSolveResult clean_solve(const Problem& prob) {
+using Base = solver::ExecutionBackend;
+constexpr Base kBases[] = {Base::simulated, Base::threads, Base::tasks};
+
+solver::ParallelSolveResult clean_solve(const Problem& prob,
+                                        Base base = Base::simulated) {
   solver::Options opt;
-  opt.backend = solver::ExecutionBackend::simulated;
+  opt.backend = base;
   return solver::parallel_solve(prob.a, prob.b, 1, 4, opt);
 }
 
+/// Reliable(Faulty(base)) under `plan`, on `p` ranks.
 solver::ParallelSolveResult faulty_solve(const Problem& prob,
                                          const std::string& plan,
-                                         bool threads = false) {
+                                         Base base = Base::simulated,
+                                         index_t p = 4) {
   solver::Options opt;
-  opt.backend = threads ? solver::ExecutionBackend::faulty_threads
-                        : solver::ExecutionBackend::faulty;
+  opt.backend = base;
   opt.fault_plan = exec::FaultPlan::parse(plan);
-  return solver::parallel_solve(prob.a, prob.b, 1, 4, opt);
+  return solver::parallel_solve(prob.a, prob.b, 1, p, opt);
 }
 
 TEST(FaultTolerance, EnvelopeWithoutFaultsMatchesCleanRunBitwise) {
   const Problem prob = make_problem();
-  const auto clean = clean_solve(prob);
-  const auto r = faulty_solve(prob, "seed=1");
-  EXPECT_EQ(clean.x, r.x);
-  EXPECT_EQ(r.status, solver::SolveStatus::ok);
-  EXPECT_EQ(r.faults_injected, 0);
-  EXPECT_EQ(r.retransmits, 0);
+  for (const Base base : kBases) {
+    SCOPED_TRACE(solver::execution_backend_info(base).name);
+    const auto clean = clean_solve(prob, base);
+    const auto r = faulty_solve(prob, "seed=1", base);
+    EXPECT_EQ(clean.x, r.x);
+    EXPECT_EQ(r.status, solver::SolveStatus::ok);
+    EXPECT_EQ(r.faults_injected, 0);
+    EXPECT_EQ(r.retransmits, 0);
+  }
+}
+
+// The envelope's poll loop counts every wait as its full duration, so
+// over tasks a wait must last it even while every peer computes: here one
+// peer factors a front for longer than the retry horizon has yields, at
+// p = 2 and p = 4, and the clean run must not abort.
+TEST(FaultTolerance, EnvelopeOverTasksWaitsOutLargeFronts) {
+  Problem prob{sparse::grid3d(22, 22, 22), {}};
+  Rng rng(17);
+  prob.b = sparse::random_rhs(prob.a.n(), 1, rng);
+  for (const index_t p : {2, 4}) {
+    SCOPED_TRACE(p);
+    const auto r = faulty_solve(prob, "seed=1", Base::tasks, p);
+    EXPECT_EQ(r.status, solver::SolveStatus::ok);
+    EXPECT_LT(trisolve::relative_residual(prob.a, r.x, prob.b, 1), 1e-9);
+  }
 }
 
 TEST(FaultTolerance, RecoversFromDropsBitIdentical) {
@@ -100,36 +126,44 @@ TEST(FaultTolerance, ThreadsBackendRecoversFromDropsBitIdentical) {
   ::setenv("SPARTS_TIMEOUT_MS", "5", 1);
   const Problem prob = make_problem();
   const auto clean = clean_solve(prob);
-  const auto r = faulty_solve(prob, "seed=42,drop=0.15", /*threads=*/true);
+  const auto r = faulty_solve(prob, "seed=42,drop=0.15", Base::threads);
   ::unsetenv("SPARTS_TIMEOUT_MS");
   EXPECT_EQ(clean.x, r.x);
   EXPECT_EQ(r.status, solver::SolveStatus::ok);
   EXPECT_GT(r.retransmits, 0);
 }
 
+// A rank dying mid-phase must leave no peer blocked on any base: the run
+// ends, every rank unwinds, and the caller gets a structured error whose
+// flight-recorder dump shows the crash.
 TEST(FaultTolerance, CrashProducesStructuredSolveError) {
   const Problem prob = make_problem();
-  try {
-    faulty_solve(prob, "seed=1,crash=1@5");
-    FAIL() << "expected SolveError";
-  } catch (const solver::SolveError& e) {
-    EXPECT_EQ(e.failed_phase(), "factorization");
-    EXPECT_NE(e.cause().find("injected"), std::string::npos) << e.cause();
-    // The progress report names every rank and where it was.
-    EXPECT_NE(e.progress().find("rank 0"), std::string::npos)
-        << e.progress();
-    EXPECT_NE(e.progress().find("rank 3"), std::string::npos)
-        << e.progress();
+  for (const Base base : kBases) {
+    SCOPED_TRACE(solver::execution_backend_info(base).name);
+    obs::FlightRecorder::instance().clear();
+    try {
+      faulty_solve(prob, "seed=1,crash=1@5", base);
+      FAIL() << "expected SolveError";
+    } catch (const solver::SolveError& e) {
+      EXPECT_EQ(e.failed_phase(), "factorization");
+      EXPECT_NE(e.cause().find("injected"), std::string::npos) << e.cause();
+      // The progress report names every rank and where it was.
+      EXPECT_NE(e.progress().find("rank 0"), std::string::npos)
+          << e.progress();
+      EXPECT_NE(e.progress().find("rank 3"), std::string::npos)
+          << e.progress();
+      EXPECT_NE(e.flight_dump().find("crash"), std::string::npos)
+          << e.flight_dump();
+    }
   }
 }
 
+// The acceptance gate for shutdown hardening on the real thread backend:
+// all threads join and the caller gets a structured error, not a hang.
 TEST(FaultTolerance, CrashOnThreadsProducesStructuredSolveErrorNoHang) {
-  // The acceptance gate for shutdown hardening: a rank dying mid-phase on
-  // the real thread backend must leave no peer blocked — the run ends, all
-  // threads join, and the caller gets a structured error.
   const Problem prob = make_problem();
   try {
-    faulty_solve(prob, "seed=1,crash=1@5", /*threads=*/true);
+    faulty_solve(prob, "seed=1,crash=1@5", Base::threads);
     FAIL() << "expected SolveError";
   } catch (const solver::SolveError& e) {
     EXPECT_EQ(e.failed_phase(), "factorization");

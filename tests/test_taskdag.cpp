@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <vector>
 
@@ -271,6 +272,30 @@ TEST(TaskBackend, TryRecvPollsWithoutBlocking) {
       proc.send_value<int>(0, /*tag=*/4, 42);
     }
   });
+}
+
+TEST(TaskBackend, PollWaitLastsItsDurationWhileAPeerIsBusy) {
+  // poll_wait sleeps its `seconds` of backend time: the reliability
+  // envelope counts each wait as its full duration.  Two workers, so the
+  // busy peer (computing, never sending) does not hold up the waiter.
+  exec::TaskBackend backend = make_tasks(2, /*workers=*/2);
+  double waited = 0.0;
+  backend.run([&](exec::Process& proc) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto elapsed = [&t0] {
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+          .count();
+    };
+    if (proc.rank() == 0) {
+      proc.poll_wait(0.02);
+      waited = elapsed();
+    } else {
+      while (elapsed() < 0.2) {
+      }
+    }
+  });
+  EXPECT_GE(waited, 0.02);
 }
 
 TEST(TaskBackend, StatsCountTheSameTrafficAsThreads) {

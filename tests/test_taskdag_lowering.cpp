@@ -176,23 +176,39 @@ TEST(TaskDagLowering, ParallelSolveTasksMatchesThreadsBitwise) {
 }
 
 TEST(TaskDagLowering, BackendRegistryRoundTripsAndRejectsJunk) {
+  // The four bases; the audit and the fault stack are Options, not rows.
+  EXPECT_EQ(solver::execution_backend_names(), "sim | threads | tasks | proc");
   for (const solver::BackendInfo& info : solver::execution_backends()) {
     EXPECT_EQ(solver::parse_execution_backend(info.name), info.backend);
     EXPECT_EQ(solver::execution_backend_info(info.backend).name,
               std::string(info.name));
   }
-  EXPECT_NE(solver::execution_backend_names().find("tasks"),
-            std::string::npos);
-  try {
-    solver::parse_execution_backend("bogus");
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& e) {
-    // The error enumerates every registered spelling.
-    const std::string what = e.what();
-    for (const solver::BackendInfo& info : solver::execution_backends()) {
-      EXPECT_NE(what.find(info.name), std::string::npos) << info.name;
+  for (const char* junk :
+       {"bogus", "checked", "checked-threads", "faulty", "faulty-threads"}) {
+    try {
+      solver::parse_execution_backend(junk);
+      FAIL() << "expected InvalidArgument for " << junk;
+    } catch (const InvalidArgument& e) {
+      // The error enumerates every registered spelling.
+      const std::string what = e.what();
+      for (const solver::BackendInfo& info : solver::execution_backends()) {
+        EXPECT_NE(what.find(info.name), std::string::npos) << info.name;
+      }
     }
   }
+  // Stacks parallel_solve cannot build fail before any phase runs.
+  const sparse::SymmetricCsc a = sparse::grid2d(4, 4);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.n()), 1.0);
+  solver::Options audit_and_faults;
+  audit_and_faults.check = true;
+  audit_and_faults.fault_plan = exec::FaultPlan{};
+  EXPECT_THROW(solver::parallel_solve(a, b, 1, 2, audit_and_faults),
+               InvalidArgument);
+  solver::Options audited_proc;
+  audited_proc.backend = solver::ExecutionBackend::proc;
+  audited_proc.check = true;
+  EXPECT_THROW(solver::parallel_solve(a, b, 1, 2, audited_proc),
+               InvalidArgument);
 }
 
 }  // namespace

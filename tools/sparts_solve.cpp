@@ -46,7 +46,7 @@ options:
   --ordering NAME       nd | md | rcm | natural           (default nd)
   --procs P             run the distributed pipeline on P processors, a
                         power of two (default 0 = sequential host solve)
-  --backend NAME        execution backend for the parallel phases
+  --backend NAME        base execution backend for the parallel phases
                         (default sim); registered backends:
 )";
   // The backend list is generated from the solver's registry so this text
@@ -56,7 +56,11 @@ options:
               << info.summary << "\n";
   }
   std::cout <<
-      R"(  --kernels NAME        tiled (cache-blocked dense kernels) | ref (naive
+      R"(  --check               audit every message of the parallel phases for
+                        wildcard races, tag collisions, orphaned sends and
+                        deadlock cycles; a finding fails the run (over sim,
+                        threads or tasks; not with --faults)
+  --kernels NAME        tiled (cache-blocked dense kernels) | ref (naive
                         loops; conformance oracle)  (default: SPARTS_KERNELS
                         environment variable, else tiled)
   --refine N            iterative-refinement steps        (default 0)
@@ -65,8 +69,9 @@ options:
   --amalgamate W,Z      relaxed supernodes: max width W, relax Z zeros/col
 
 robustness (see docs/robustness.md):
-  --faults SPEC         fault scenario; needs --backend faulty or
-                        faulty-threads (exit 2 otherwise), e.g.
+  --faults SPEC         inject a seeded fault scenario under the
+                        reliability envelope (over sim, threads or tasks;
+                        not with --check), e.g.
                         seed=42,drop=0.05,dup=0.02,delay=0.1:0.01,
                         reorder=0.05,stall=2@0.5,crash=1@40,max_faults=100
   --pivot MODE          fail (throw on a non-positive pivot, default) |
@@ -92,8 +97,8 @@ observability:
   --trace FILE.json     record per-rank event traces and write them as
                         Chrome trace_event JSON (open in Perfetto or
                         chrome://tracing).  Timestamps are virtual
-                        cost-model seconds on sim/checked backends, wall
-                        seconds on threads.  SPARTS_TRACE=FILE.json does
+                        cost-model seconds on sim, wall seconds on the
+                        other backends.  SPARTS_TRACE=FILE.json does
                         the same; the flag wins.
   --metrics FILE.json   collect counters / gauges / histograms (message
                         sizes, kernel flop rates, per-phase splits) and
@@ -176,6 +181,9 @@ int main(int argc, char** argv) {
       std::cerr << "error: cannot write metrics to " << metrics_path << "\n";
     }
   };
+  // Every error raised while the arguments are parsed and validated is a
+  // usage error (exit 2); later errors exit 1.
+  bool parsing = true;
   try {
     std::string matrix_path;
     index_t grid2 = 0, grid3 = 0;
@@ -184,7 +192,6 @@ int main(int argc, char** argv) {
     int refine = 0;
     bool report = false;
     bool condest = false;
-    bool faults = false;
     if (const char* env = std::getenv("SPARTS_TRACE")) {
       if (*env != '\0') trace_path = env;
     }
@@ -214,7 +221,8 @@ int main(int argc, char** argv) {
         options.kernels = parse_kernels(next());
       } else if (arg == "--faults") {
         options.fault_plan = exec::FaultPlan::parse(next());
-        faults = true;
+      } else if (arg == "--check") {
+        options.check = true;
       } else if (arg == "--pivot") {
         options.pivot_mode = parse_pivot(next());
       } else if (arg == "--proc-rank") {
@@ -260,21 +268,12 @@ int main(int argc, char** argv) {
     // The subtree-to-subcube mapping splits processor groups in halves,
     // so the distributed pipeline runs on hypercubes only.
     if (procs < 0 || (procs & (procs - 1)) != 0) {
-      std::cerr << "error: --procs must be a power of two (1, 2, 4, ...) "
-                   "or 0 for the sequential solve, got "
-                << procs << "\n";
-      return 2;
+      throw InvalidArgument(
+          "--procs must be a power of two (1, 2, 4, ...) or 0 for the "
+          "sequential solve, got " + std::to_string(procs));
     }
 
-    // Only the fault-injecting backends act on a fault plan; anywhere else
-    // it would be silently ignored.
-    if (faults && options.backend != solver::ExecutionBackend::faulty &&
-        options.backend != solver::ExecutionBackend::faulty_threads) {
-      std::cerr << "error: --faults needs --backend faulty or "
-                   "faulty-threads\n";
-      return 2;
-    }
-
+    solver::validate_backend_stack(options);
     if (options.backend == solver::ExecutionBackend::proc) {
       if (procs <= 0) {
         throw InvalidArgument("--backend proc needs --procs P > 0");
@@ -289,6 +288,7 @@ int main(int argc, char** argv) {
         throw InvalidArgument("--proc-rank must be in [0, --procs)");
       }
     }
+    parsing = false;
 
     if (!trace_path.empty()) obs::Tracer::instance().enable();
     if (!metrics_path.empty()) obs::enable_metrics();
@@ -318,20 +318,12 @@ int main(int argc, char** argv) {
       const auto result = solver::parallel_solve(a, b, nrhs, procs, options);
       const solver::BackendInfo& binfo =
           solver::execution_backend_info(options.backend);
-      const bool sim =
-          options.backend == solver::ExecutionBackend::simulated ||
-          options.backend == solver::ExecutionBackend::checked ||
-          options.backend == solver::ExecutionBackend::faulty;
-      const bool checked =
-          options.backend == solver::ExecutionBackend::checked ||
-          options.backend == solver::ExecutionBackend::checked_threads;
-      const bool faulty =
-          options.backend == solver::ExecutionBackend::faulty ||
-          options.backend == solver::ExecutionBackend::faulty_threads;
-      const bool tasks = options.backend == solver::ExecutionBackend::tasks;
-      std::cout << "\nbackend " << binfo.name << " (" << binfo.summary
-                << "): " << procs
-                << (sim ? " processors, simulated seconds\n"
+      std::cout << "\nbackend " << binfo.name
+                << (options.check ? " + check" : "")
+                << (options.fault_plan ? " + faults" : "") << " ("
+                << binfo.summary << "): " << procs
+                << (options.backend == solver::ExecutionBackend::simulated
+                        ? " processors, simulated seconds\n"
                         : " ranks, wall-clock seconds\n")
                 << "  factorization  " << format_fixed(result.factor_time, 4)
                 << (result.factor_from_checkpoint
@@ -355,7 +347,7 @@ int main(int argc, char** argv) {
       dag_line("factor  ", result.factor_dag);
       dag_line("forward ", result.forward_dag);
       dag_line("backward", result.backward_dag);
-      if (tasks) {
+      if (result.task_scheduler.workers > 0) {
         std::cout << "task scheduler:  " << result.task_scheduler.workers
                   << " workers, " << result.task_scheduler.jobs_run
                   << " jobs, " << result.task_scheduler.steals << " steals, "
@@ -380,13 +372,13 @@ int main(int argc, char** argv) {
         cp_line("forward ", result.forward_critical_path);
         cp_line("backward", result.backward_critical_path);
       }
-      if (checked) {
+      if (options.check) {
         std::cout << "message audit:   " << result.checked_messages
                   << " sends checked, " << result.analysis_findings
                   << " findings\n";
       }
-      if (faulty) {
-        std::cout << "fault injection: " << options.fault_plan.summary()
+      if (options.fault_plan) {
+        std::cout << "fault injection: " << options.fault_plan->summary()
                   << "\n"
                   << "  injected " << result.faults_injected
                   << " fault(s), recovered with " << result.retransmits
@@ -456,6 +448,6 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     exec::socket_session_shutdown();
-    return 1;
+    return parsing ? 2 : 1;
   }
 }
