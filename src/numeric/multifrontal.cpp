@@ -93,6 +93,8 @@ nnz_t supernode_schur_update(const symbolic::SupernodePartition& p, index_t s,
   dense::panel_syrk(b, b, t, front.data() + t, ns, front.data() + t, ns,
                     front.data() + static_cast<std::size_t>(t) * ns + t, ns,
                     /*lower_only=*/true);
+  const nnz_t flops = dense::syrk_flops(b, b, t, /*lower_only=*/true);
+  if (out == nullptr) return flops;
 
   // Emit the update matrix for the parent.
   auto rows = p.row_indices(s);
@@ -106,7 +108,7 @@ nnz_t supernode_schur_update(const symbolic::SupernodePartition& p, index_t s,
     for (index_t ci = cj; ci < b; ++ci) dst[ci] = src[ci];
   }
   *out = std::move(u);
-  return dense::syrk_flops(b, b, t, /*lower_only=*/true);
+  return flops;
 }
 
 SupernodalFactor multifrontal_cholesky(const sparse::SymmetricCsc& a,

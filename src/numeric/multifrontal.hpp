@@ -62,8 +62,9 @@ nnz_t factor_supernode_panel(const sparse::SymmetricCsc& a,
 
 /// The "update" half: Schur complement of the trailing block
 /// (F22 -= L21 L21^T) and emission of the update matrix for the parent.
-/// `out` stays empty when the supernode has no below rows.  Returns the
-/// syrk flop count.
+/// `out` stays empty when the supernode has no below rows; a null `out`
+/// skips the emission and leaves the Schur complement only in `front`'s
+/// trailing block.  Returns the syrk flop count.
 nnz_t supernode_schur_update(const symbolic::SupernodePartition& p, index_t s,
                              std::vector<real_t>& front, UpdateMatrix* out);
 

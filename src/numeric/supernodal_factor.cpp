@@ -40,17 +40,6 @@ real_t SupernodalFactor::at(index_t i, index_t j) const {
   return block(s)[static_cast<std::size_t>(k * part_.height(s) + pos)];
 }
 
-nnz_t SupernodalFactor::factor_nnz() const {
-  nnz_t count = 0;
-  for (index_t s = 0; s < num_supernodes(); ++s) {
-    const nnz_t ns = part_.height(s);
-    const nnz_t t = part_.width(s);
-    // Column k of the trapezoid has ns - k entries on/below the diagonal.
-    count += t * ns - t * (t - 1) / 2;
-  }
-  return count;
-}
-
 nnz_t SupernodalFactor::solve_flops(index_t m) const {
   nnz_t flops = 0;
   for (index_t s = 0; s < num_supernodes(); ++s) {

@@ -52,7 +52,7 @@ class SupernodalFactor {
 
   /// Nonzeros of L counted the sparse way: entries on or below the
   /// diagonal inside the trapezoids.
-  nnz_t factor_nnz() const;
+  nnz_t factor_nnz() const { return part_.factor_nnz(); }
 
   /// Exact flops of one forward+backward solve with m right-hand sides.
   nnz_t solve_flops(index_t m) const;

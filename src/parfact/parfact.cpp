@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "common/finite.hpp"
 #include "dense/kernels.hpp"
 #include "mapping/block_cyclic.hpp"
+#include "numeric/multifrontal.hpp"
 #include "sparse/validate.hpp"
 #include "ordering/etree.hpp"
 #include "partrisolve/layout.hpp"
@@ -113,6 +115,36 @@ struct LocalFront {
   }
 };
 
+/// Factor one single-rank subtree (`members` ascending, root last) with
+/// the steps numeric::multifrontal_cholesky runs, so its factor columns
+/// are bit-identical to the sequential factor's.  The root's front, Schur
+/// complement in its trailing block, is left in `root_front` for the
+/// shared parent's extend-add.  The per-subtree scratch (row positions,
+/// update slots, the reused front) is released on return.  Returns the
+/// flop count.
+nnz_t factor_subtree(const sparse::SymmetricCsc& a,
+                     const symbolic::SupernodePartition& part,
+                     const std::vector<std::vector<index_t>>& children,
+                     std::span<const index_t> members,
+                     numeric::SupernodalFactor& out,
+                     std::vector<real_t>& root_front) {
+  std::vector<numeric::UpdateMatrix> updates(
+      static_cast<std::size_t>(part.num_supernodes()));
+  std::vector<index_t> pos_of_row(static_cast<std::size_t>(part.n()), -1);
+  std::vector<real_t> front;
+  nnz_t flops = 0;
+  for (const index_t s : members) {
+    flops += numeric::factor_supernode_panel(
+        a, part, s, children[static_cast<std::size_t>(s)], updates, out,
+        front, pos_of_row);
+    numeric::UpdateMatrix* emit =
+        s == members.back() ? nullptr : &updates[static_cast<std::size_t>(s)];
+    flops += numeric::supernode_schur_update(part, s, front, emit);
+  }
+  root_front = std::move(front);
+  return flops;
+}
+
 }  // namespace
 
 Report parallel_multifrontal(exec::Comm& machine,
@@ -142,12 +174,33 @@ Report parallel_multifrontal(exec::Comm& machine,
   const exec::TaskGraph sdag = build_supernode_dag(part);
   const std::vector<exec::TaskId> schedule = sdag.topo_schedule();
 
-  // Position of each child's below-rows inside the parent front.
+  // Maximal single-rank subtrees: a q = 1 supernode whose parent is
+  // shared (or absent) roots one, and subtree[root] lists its members
+  // ascending.  Every other q = 1 supernode is factored with its root.
+  std::vector<std::vector<index_t>> subtree(static_cast<std::size_t>(nsup));
+  {
+    std::vector<index_t> root_of(static_cast<std::size_t>(nsup), -1);
+    for (index_t s = nsup - 1; s >= 0; --s) {
+      if (map.is_parallel(s)) continue;
+      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+      root_of[static_cast<std::size_t>(s)] =
+          parent == -1 || map.is_parallel(parent)
+              ? s
+              : root_of[static_cast<std::size_t>(parent)];
+    }
+    for (index_t s = 0; s < nsup; ++s) {
+      const index_t root = root_of[static_cast<std::size_t>(s)];
+      if (root != -1) subtree[static_cast<std::size_t>(root)].push_back(s);
+    }
+  }
+
+  // Position of each below-row of a shared front's child inside that
+  // front.
   std::vector<std::vector<index_t>> parent_pos(
       static_cast<std::size_t>(nsup));
   for (index_t s = 0; s < nsup; ++s) {
     const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-    if (parent == -1) continue;
+    if (parent == -1 || !map.is_parallel(parent)) continue;
     const auto rows = part.row_indices(s);
     const auto prows = part.row_indices(parent);
     const index_t t = part.width(s);
@@ -173,6 +226,26 @@ Report parallel_multifrontal(exec::Comm& machine,
     for (const index_t s : schedule) {
       const exec::Group g = map.group[static_cast<std::size_t>(s)];
       if (!g.contains(w)) continue;
+      if (!map.is_parallel(s)) {
+        const auto& members = subtree[static_cast<std::size_t>(s)];
+        if (members.empty()) continue;  // factored with its subtree's root
+        exec::note_progress(proc, "fact subtree", s);
+        SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fact.subtree",
+                          static_cast<std::int64_t>(s),
+                          static_cast<std::int64_t>(members.size()));
+        std::vector<real_t> root_front;
+        proc.compute(static_cast<double>(factor_subtree(
+                         a, part, children, members, out, root_front)),
+                     exec::FlopKind::blas3);
+        // Hand the root's Schur complement to the shared parent as a
+        // one-rank front (1 x 1 grid: local positions are global ones).
+        const index_t ns = part.height(s);
+        if (part.stree.parent[static_cast<std::size_t>(s)] != -1 &&
+            ns > part.width(s)) {
+          fronts.emplace(s, LocalFront{ns, ns, std::move(root_front)});
+        }
+        continue;
+      }
       exec::note_progress(proc, "fact supernode", s);
       SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fact.supernode",
                         static_cast<std::int64_t>(s),
@@ -288,165 +361,144 @@ Report parallel_multifrontal(exec::Comm& machine,
       }
 
       // --- Partial dense factorization of the pivot block. ---
-      if (g.count == 1) {
-        // Local fast path: classic partial Cholesky + Schur update.
-        proc.compute(static_cast<double>(dense::panel_cholesky(
-                         ns, t, front.data.data(), ns)),
-                     exec::FlopKind::blas3);
-        const index_t below = ns - t;
-        if (below > 0) {
-          dense::panel_syrk(below, below, t, front.data.data() + t, ns,
-                            front.data.data() + t, ns,
-                            front.data.data() +
-                                static_cast<std::size_t>(t) * ns + t,
-                            ns, /*lower_only=*/true);
-          proc.compute(static_cast<double>(dense::syrk_flops(
-                           below, below, t, /*lower_only=*/true)),
+      const exec::Group col_group{g.base + gc, geo.qr(), geo.qc()};
+      const exec::Group row_group{g.base + gr * geo.qc(), geo.qc(), 1};
+
+      for (index_t p0 = 0; p0 < t; p0 += b2d) {
+        const index_t bp = std::min(b2d, t - p0);
+        const index_t p1 = p0 + bp;
+        const index_t panel_gc = geo.col_layout.owner_of(p0);
+        const index_t panel_gr = geo.row_layout.owner_of(p0);
+
+        // Step 1: diagonal block Cholesky + column broadcast.
+        std::vector<real_t> diag(static_cast<std::size_t>(bp * bp));
+        if (gc == panel_gc && gr == panel_gr) {
+          const index_t li = geo.row_layout.local_of(p0);
+          const index_t lj = geo.col_layout.local_of(p0);
+          proc.compute(static_cast<double>(dense::panel_cholesky(
+                           bp, bp, &front.at(li, lj), front.lr)),
                        exec::FlopKind::blas3);
+          for (index_t cjj = 0; cjj < bp; ++cjj) {
+            for (index_t cii = 0; cii < bp; ++cii) {
+              diag[static_cast<std::size_t>(cjj * bp + cii)] =
+                  front.at(li + cii, lj + cjj);
+            }
+          }
         }
-      } else {
-        const exec::Group col_group{g.base + gc, geo.qr(), geo.qc()};
-        const exec::Group row_group{g.base + gr * geo.qc(), geo.qc(), 1};
+        if (gc == panel_gc && geo.qr() > 1) {
+          exec::broadcast_from(proc, col_group, panel_gr, diag,
+                               tags.diag(s, p0 / b2d));
+        }
 
-        for (index_t p0 = 0; p0 < t; p0 += b2d) {
-          const index_t bp = std::min(b2d, t - p0);
-          const index_t p1 = p0 + bp;
-          const index_t panel_gc = geo.col_layout.owner_of(p0);
-          const index_t panel_gr = geo.row_layout.owner_of(p0);
-
-          // Step 1: diagonal block Cholesky + column broadcast.
-          std::vector<real_t> diag(static_cast<std::size_t>(bp * bp));
-          if (gc == panel_gc && gr == panel_gr) {
-            const index_t li = geo.row_layout.local_of(p0);
+        // Step 2: row-panel solves on the panel's grid column, then
+        // broadcast of each row piece along its grid row.
+        const index_t below_count = geo.rows_below(gr, p1);
+        const index_t m_rows = front.lr - below_count;
+        std::vector<real_t> rowpiece(static_cast<std::size_t>(m_rows * bp));
+        if (gc == panel_gc) {
+          if (m_rows > 0) {
             const index_t lj = geo.col_layout.local_of(p0);
-            proc.compute(
-                static_cast<double>(dense::panel_cholesky(
-                    bp, bp, &front.at(li, lj), front.lr)),
-                exec::FlopKind::blas3);
+            proc.compute(static_cast<double>(dense::panel_trsm_right_lt(
+                             m_rows, bp, diag.data(), bp,
+                             &front.at(below_count, lj), front.lr)),
+                         exec::FlopKind::blas3);
             for (index_t cjj = 0; cjj < bp; ++cjj) {
-              for (index_t cii = 0; cii < bp; ++cii) {
-                diag[static_cast<std::size_t>(cjj * bp + cii)] =
-                    front.at(li + cii, lj + cjj);
+              for (index_t cii = 0; cii < m_rows; ++cii) {
+                rowpiece[static_cast<std::size_t>(cjj * m_rows + cii)] =
+                    front.at(below_count + cii, lj + cjj);
               }
             }
           }
-          if (gc == panel_gc && geo.qr() > 1) {
-            exec::broadcast_from(proc, col_group, panel_gr, diag,
-                                   tags.diag(s, p0 / b2d));
-          }
+        }
+        if (geo.qc() > 1) {
+          exec::broadcast_from(proc, row_group, panel_gc, rowpiece,
+                               tags.rowbcast(s, p0 / b2d));
+        }
 
-          // Step 2: row-panel solves on the panel's grid column, then
-          // broadcast of each row piece along its grid row.
-          const index_t below_count = geo.rows_below(gr, p1);
-          const index_t m_rows = front.lr - below_count;
-          std::vector<real_t> rowpiece(
-              static_cast<std::size_t>(m_rows * bp));
-          if (gc == panel_gc) {
-            if (m_rows > 0) {
-              const index_t lj = geo.col_layout.local_of(p0);
-              proc.compute(static_cast<double>(dense::panel_trsm_right_lt(
-                               m_rows, bp, diag.data(), bp,
-                               &front.at(below_count, lj), front.lr)),
-                           exec::FlopKind::blas3);
-              for (index_t cjj = 0; cjj < bp; ++cjj) {
-                for (index_t cii = 0; cii < m_rows; ++cii) {
-                  rowpiece[static_cast<std::size_t>(cjj * m_rows + cii)] =
-                      front.at(below_count + cii, lj + cjj);
-                }
-              }
-            }
+        // Step 3: all-gather, along the grid column, of the sub-pieces
+        // whose positions this grid column owns column-wise.
+        // Positions of my grid row's trailing rows, ascending:
+        std::vector<index_t> my_row_positions;
+        my_row_positions.reserve(static_cast<std::size_t>(m_rows));
+        for (index_t blk = gr; blk < geo.row_layout.num_blocks();
+             blk += geo.qr()) {
+          for (index_t i = std::max(geo.row_layout.block_begin(blk), p1);
+               i < geo.row_layout.block_end(blk); ++i) {
+            my_row_positions.push_back(i);
           }
-          if (geo.qc() > 1) {
-            exec::broadcast_from(proc, row_group, panel_gc, rowpiece,
-                                   tags.rowbcast(s, p0 / b2d));
+        }
+        std::vector<real_t> contrib;
+        std::vector<index_t> contrib_positions;
+        for (std::size_t z = 0; z < my_row_positions.size(); ++z) {
+          const index_t i = my_row_positions[z];
+          if (geo.col_layout.owner_of(i) != gc) continue;
+          contrib_positions.push_back(i);
+          for (index_t cjj = 0; cjj < bp; ++cjj) {
+            contrib.push_back(rowpiece[static_cast<std::size_t>(
+                cjj * m_rows + static_cast<index_t>(z))]);
           }
-
-          // Step 3: all-gather, along the grid column, of the sub-pieces
-          // whose positions this grid column owns column-wise.
-          // Positions of my grid row's trailing rows, ascending:
-          std::vector<index_t> my_row_positions;
-          my_row_positions.reserve(static_cast<std::size_t>(m_rows));
-          for (index_t blk = gr; blk < geo.row_layout.num_blocks();
+        }
+        std::vector<std::vector<real_t>> gathered;
+        if (geo.qr() > 1) {
+          gathered = exec::allgather(proc, col_group, std::move(contrib),
+                                     tags.colgather(s, p0 / b2d));
+        } else {
+          gathered.push_back(std::move(contrib));
+        }
+        // colpiece: L(j, panel) for each of my local trailing columns.
+        std::vector<real_t> colpiece(
+            static_cast<std::size_t>(front.lc * bp), 0.0);
+        for (index_t src_gr = 0; src_gr < geo.qr(); ++src_gr) {
+          const auto& data = gathered[static_cast<std::size_t>(src_gr)];
+          std::size_t cursor = 0;
+          for (index_t blk = src_gr; blk < geo.row_layout.num_blocks();
                blk += geo.qr()) {
             for (index_t i = std::max(geo.row_layout.block_begin(blk), p1);
                  i < geo.row_layout.block_end(blk); ++i) {
-              my_row_positions.push_back(i);
-            }
-          }
-          std::vector<real_t> contrib;
-          std::vector<index_t> contrib_positions;
-          for (std::size_t z = 0; z < my_row_positions.size(); ++z) {
-            const index_t i = my_row_positions[z];
-            if (geo.col_layout.owner_of(i) != gc) continue;
-            contrib_positions.push_back(i);
-            for (index_t cjj = 0; cjj < bp; ++cjj) {
-              contrib.push_back(rowpiece[static_cast<std::size_t>(
-                  cjj * m_rows + static_cast<index_t>(z))]);
-            }
-          }
-          std::vector<std::vector<real_t>> gathered;
-          if (geo.qr() > 1) {
-            gathered = exec::allgather(proc, col_group, std::move(contrib),
-                                         tags.colgather(s, p0 / b2d));
-          } else {
-            gathered.push_back(std::move(contrib));
-          }
-          // colpiece: L(j, panel) for each of my local trailing columns.
-          std::vector<real_t> colpiece(
-              static_cast<std::size_t>(front.lc * bp), 0.0);
-          for (index_t src_gr = 0; src_gr < geo.qr(); ++src_gr) {
-            const auto& data = gathered[static_cast<std::size_t>(src_gr)];
-            std::size_t cursor = 0;
-            for (index_t blk = src_gr; blk < geo.row_layout.num_blocks();
-                 blk += geo.qr()) {
-              for (index_t i = std::max(geo.row_layout.block_begin(blk), p1);
-                   i < geo.row_layout.block_end(blk); ++i) {
-                if (geo.col_layout.owner_of(i) != gc) continue;
-                const index_t lj = geo.col_layout.local_of(i);
-                for (index_t cjj = 0; cjj < bp; ++cjj) {
-                  SPARTS_CHECK(cursor < data.size(),
-                               "colpiece stream underflow");
-                  colpiece[static_cast<std::size_t>(cjj * front.lc + lj)] =
-                      data[cursor++];
-                }
+              if (geo.col_layout.owner_of(i) != gc) continue;
+              const index_t lj = geo.col_layout.local_of(i);
+              for (index_t cjj = 0; cjj < bp; ++cjj) {
+                SPARTS_CHECK(cursor < data.size(),
+                             "colpiece stream underflow");
+                colpiece[static_cast<std::size_t>(cjj * front.lc + lj)] =
+                    data[cursor++];
               }
             }
-            SPARTS_CHECK(cursor == data.size(), "colpiece stream overflow");
           }
+          SPARTS_CHECK(cursor == data.size(), "colpiece stream overflow");
+        }
 
-          // Step 4: local trailing update
-          //   F(i, j) -= L(i, panel) * L(j, panel)^T,  i >= j >= p1.
-          for (index_t jb = gc; jb < geo.col_layout.num_blocks();
-               jb += geo.qc()) {
-            const index_t jend = geo.col_layout.block_end(jb);
-            const index_t jstart =
-                std::max(geo.col_layout.block_begin(jb), p1);
-            if (jstart >= jend) continue;
-            const index_t lenj = jend - jstart;
-            const index_t lj = geo.col_layout.local_of(jstart);
-            for (index_t ib = gr; ib < geo.row_layout.num_blocks();
-                 ib += geo.qr()) {
-              if (geo.row_layout.block_end(ib) <= jstart) continue;
-              const index_t istart =
-                  std::max(geo.row_layout.block_begin(ib), p1);
-              // Only blocks on/below the diagonal block row hold lower-
-              // triangle entries.
-              if (istart < jstart) continue;
-              const bool diagonal_block = istart == jstart;
-              const index_t leni = geo.row_layout.block_end(ib) - istart;
-              const index_t li_local = geo.row_layout.local_of(istart);
-              // A-piece rows istart.. are at rowpiece offset
-              // (local row - below_count).
-              const real_t* apiece =
-                  rowpiece.data() + (li_local - below_count);
-              dense::panel_syrk(leni, lenj, bp, apiece, m_rows,
-                                colpiece.data() + lj, front.lc,
-                                &front.at(li_local, lj), front.lr,
-                                /*lower_only=*/diagonal_block);
-              proc.compute(static_cast<double>(dense::syrk_flops(
-                               leni, lenj, bp, diagonal_block)),
-                           exec::FlopKind::blas3);
-            }
+        // Step 4: local trailing update
+        //   F(i, j) -= L(i, panel) * L(j, panel)^T,  i >= j >= p1.
+        for (index_t jb = gc; jb < geo.col_layout.num_blocks();
+             jb += geo.qc()) {
+          const index_t jend = geo.col_layout.block_end(jb);
+          const index_t jstart = std::max(geo.col_layout.block_begin(jb), p1);
+          if (jstart >= jend) continue;
+          const index_t lenj = jend - jstart;
+          const index_t lj = geo.col_layout.local_of(jstart);
+          for (index_t ib = gr; ib < geo.row_layout.num_blocks();
+               ib += geo.qr()) {
+            if (geo.row_layout.block_end(ib) <= jstart) continue;
+            const index_t istart =
+                std::max(geo.row_layout.block_begin(ib), p1);
+            // Only blocks on/below the diagonal block row hold lower-
+            // triangle entries.
+            if (istart < jstart) continue;
+            const bool diagonal_block = istart == jstart;
+            const index_t leni = geo.row_layout.block_end(ib) - istart;
+            const index_t li_local = geo.row_layout.local_of(istart);
+            // A-piece rows istart.. are at rowpiece offset
+            // (local row - below_count).
+            const real_t* apiece =
+                rowpiece.data() + (li_local - below_count);
+            dense::panel_syrk(leni, lenj, bp, apiece, m_rows,
+                              colpiece.data() + lj, front.lc,
+                              &front.at(li_local, lj), front.lr,
+                              /*lower_only=*/diagonal_block);
+            proc.compute(static_cast<double>(dense::syrk_flops(
+                             leni, lenj, bp, diagonal_block)),
+                         exec::FlopKind::blas3);
           }
         }
       }

@@ -9,10 +9,20 @@
 // factor emerges from factorization in a 2-D distribution that must be
 // converted (redist/) before solving.  This module reproduces both.
 //
-// Shape of the computation:
-//   * Sequential subtrees (q = 1) run the classic multifrontal recursion
-//     locally on their processor.
-//   * A front shared by q processors lives on a near-square qr x qc
+// Shape of the computation (the SPMD walk visits supernodes in ascending
+// order; each rank acts on the ones whose group contains it):
+//   * A maximal single-rank subtree (its root's group has one processor
+//     and the root's parent is shared or absent) is factored in one pass
+//     when the walk reaches its root: numeric::factor_supernode_panel and
+//     numeric::supernode_schur_update over its supernodes, the steps the
+//     sequential multifrontal_cholesky runs, so those factor columns are
+//     bit-identical to the sequential factor.  The pass is one
+//     proc.compute charge, one "fact.subtree" span and one progress note;
+//     its scratch is freed when it ends.  The root's front, with the Schur
+//     complement in its trailing block, is handed to the shared parent's
+//     extend-add as a one-rank front.  At p = 1 the whole tree is such
+//     subtrees.
+//   * A front shared by q > 1 processors lives on a near-square qr x qc
 //     process grid, block-cyclic with block size b2d.  Each pivot panel is
 //     factored with the fan-out algorithm: diagonal-block Cholesky,
 //     broadcast down the grid column, row-panel triangular solves,
@@ -46,9 +56,11 @@ struct Report {
   double time() const { return stats.parallel_time(); }
 };
 
-/// Factor A over `part` on the simulated machine; writes the numeric
-/// factor into `out` (which is allocated by this call).  The result equals
-/// the sequential multifrontal factor up to floating-point reordering.
+/// Factor A over `part` on `machine`; writes the numeric factor into
+/// `out` (which is allocated by this call).  Supernodes of single-rank
+/// subtrees equal the sequential multifrontal factor bit for bit; shared
+/// fronts equal it up to floating-point reordering.  Every backend gives
+/// the same bytes.
 Report parallel_multifrontal(exec::Comm& machine,
                              const sparse::SymmetricCsc& a,
                              const symbolic::SupernodePartition& part,

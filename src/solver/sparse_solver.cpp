@@ -78,8 +78,9 @@ symbolic::SupernodePartition analyze(const sparse::SymmetricCsc& a_perm,
                                 options.amalgamation_relax_zeros);
   }
   if (info != nullptr) {
-    info->factor_nnz = sym.nnz();
-    info->factor_flops = sym.factorization_flops();
+    // What is stored and computed: amalgamation's explicit zeros count.
+    info->factor_nnz = part.factor_nnz();
+    info->factor_flops = part.factorization_flops();
     info->num_supernodes = part.num_supernodes();
     info->solve_flops_per_rhs = sym.solve_flops(1);
   }

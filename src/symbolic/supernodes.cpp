@@ -13,6 +13,26 @@ nnz_t SupernodePartition::total_block_entries() const {
   return total;
 }
 
+nnz_t SupernodePartition::factor_nnz() const {
+  nnz_t count = 0;
+  for (index_t s = 0; s < num_supernodes(); ++s) {
+    const nnz_t ns = height(s);
+    const nnz_t t = width(s);
+    count += t * ns - t * (t - 1) / 2;
+  }
+  return count;
+}
+
+nnz_t SupernodePartition::factorization_flops() const {
+  nnz_t flops = 0;
+  for (index_t s = 0; s < num_supernodes(); ++s) {
+    for (index_t k = 0; k < width(s); ++k) {
+      flops += column_factorization_flops(static_cast<nnz_t>(height(s) - k));
+    }
+  }
+  return flops;
+}
+
 void SupernodePartition::check_consistent() const {
   const index_t nsup = num_supernodes();
   SPARTS_CHECK(first_col.front() == 0,

@@ -66,6 +66,16 @@ struct SupernodePartition {
   /// Total dense storage over all supernodes.
   nnz_t total_block_entries() const;
 
+  /// nnz(L) as stored: column k of supernode s holds height(s) - k
+  /// entries on and below the diagonal, explicit zeros of an amalgamated
+  /// partition included.
+  nnz_t factor_nnz() const;
+  /// Flops of factoring the stored factor: the per-column formula of
+  /// SymbolicFactor::factorization_flops over the column counts
+  /// height(s) - k.  Both equal the symbolic values on the fundamental
+  /// partition.
+  nnz_t factorization_flops() const;
+
   /// Flops of a forward (or backward) solve with m RHS through supernode s:
   /// t^2 m for the triangle + 2 t (n_s - t) m for the rectangle update.
   nnz_t solve_flops(index_t s, index_t m) const {

@@ -68,10 +68,8 @@ std::vector<index_t> SymbolicFactor::column_counts() const {
 nnz_t SymbolicFactor::factorization_flops() const {
   nnz_t flops = 0;
   for (index_t j = 0; j < n; ++j) {
-    const nnz_t cj = static_cast<nnz_t>(col_rows(j).size());
-    // One sqrt + (cj-1) divisions + (cj-1)*cj multiply-adds (2 flops each)
-    // charged to column j's elimination.
-    flops += 1 + (cj - 1) + (cj - 1) * cj;
+    flops +=
+        column_factorization_flops(static_cast<nnz_t>(col_rows(j).size()));
   }
   return flops;
 }

@@ -14,6 +14,13 @@
 
 namespace sparts::symbolic {
 
+/// Flops charged to eliminating one column with `count` entries on and
+/// below the diagonal: one sqrt, count - 1 divisions and (count - 1) *
+/// count for the multiply-adds of the rank-1 update (2 flops each).
+constexpr nnz_t column_factorization_flops(nnz_t count) {
+  return 1 + (count - 1) + (count - 1) * count;
+}
+
 /// Nonzero structure of the Cholesky factor L (lower triangular, CSC,
 /// row indices sorted ascending; the diagonal leads every column).
 struct SymbolicFactor {
@@ -34,7 +41,7 @@ struct SymbolicFactor {
   std::vector<index_t> column_counts() const;
 
   /// Exact flop count of the numerical factorization:
-  /// sum_j ( |L_j| - 1 ) * ( |L_j| + 2 )  ~  sum |L_j|^2.
+  /// sum_j column_factorization_flops(|L_j|)  ~  sum |L_j|^2.
   nnz_t factorization_flops() const;
 
   /// Exact flop count of one forward + backward solve with m RHS:

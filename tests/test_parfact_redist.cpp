@@ -3,8 +3,14 @@
 // fraction of the solve (the paper's §4 claim).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "exec/task_backend.hpp"
+#include "exec/thread_backend.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "numeric/multifrontal.hpp"
 #include "ordering/nested_dissection.hpp"
@@ -22,12 +28,16 @@
 namespace sparts {
 namespace {
 
-simpar::Machine make_machine(index_t p) {
+simpar::Machine::Config machine_config(index_t p) {
   simpar::Machine::Config cfg;
   cfg.nprocs = p;
   cfg.cost = exec::CostModel::t3d();
   cfg.topology = exec::TopologyKind::hypercube;
-  return simpar::Machine(cfg);
+  return cfg;
+}
+
+simpar::Machine make_machine(index_t p) {
+  return simpar::Machine(machine_config(p));
 }
 
 struct ProblemSetup {
@@ -114,6 +124,77 @@ TEST(Parfact, AmalgamatedPartitionMatchesSequential) {
       for (index_t i = k; i < ns; ++i) {
         EXPECT_NEAR(rb[static_cast<std::size_t>(k * ns + i)],
                     gb[static_cast<std::size_t>(k * ns + i)], 1e-9);
+      }
+    }
+  }
+}
+
+/// One fresh execution backend of the given kind.
+std::unique_ptr<exec::Comm> make_comm(const std::string& kind, index_t p) {
+  if (kind == "threads") {
+    exec::ThreadBackend::Config cfg;
+    cfg.nprocs = p;
+    return std::make_unique<exec::ThreadBackend>(cfg);
+  }
+  if (kind == "tasks") {
+    exec::TaskBackend::Config cfg;
+    cfg.nprocs = p;
+    cfg.scheduler.workers = 2;
+    return std::make_unique<exec::TaskBackend>(cfg);
+  }
+  return std::make_unique<simpar::Machine>(machine_config(p));
+}
+
+bool same_bytes(std::span<const real_t> x, std::span<const real_t> y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
+}
+
+TEST(Parfact, LocalSubtreesBitIdenticalToSequential) {
+  // Single-rank subtrees run the sequential multifrontal steps, so their
+  // factor columns must match multifrontal_cholesky bit for bit (the whole
+  // factor at p = 1), and every backend must produce the same bytes.
+  for (const bool three_d : {true, false}) {
+    const index_t k = three_d ? 12 : 31;
+    for (const bool amalgamated : {false, true}) {
+      SCOPED_TRACE((three_d ? "grid3d " : "grid2d ") + std::to_string(k) +
+                   (amalgamated ? " amalgamated 32,16" : " fundamental"));
+      sparse::SymmetricCsc a = sparse::permute_symmetric(
+          three_d ? sparse::grid3d(k, k, k) : sparse::grid2d(k, k),
+          three_d ? ordering::nested_dissection_grid3d(k, k, k)
+                  : ordering::nested_dissection_grid2d(k, k));
+      const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
+      symbolic::SupernodePartition part =
+          symbolic::fundamental_supernodes(sym);
+      if (amalgamated) part = symbolic::amalgamate(sym, part, 32, 16);
+      const numeric::SupernodalFactor seq =
+          numeric::multifrontal_cholesky(a, part);
+
+      for (const index_t p : {1, 2, 4, 8}) {
+        SCOPED_TRACE("p = " + std::to_string(p));
+        const mapping::SubcubeMapping map = mapping::subtree_to_subcube(
+            part, p, mapping::factor_work_weights(part));
+        std::vector<numeric::SupernodalFactor> got;
+        for (const std::string kind : {"sim", "threads", "tasks"}) {
+          SCOPED_TRACE(kind);
+          auto comm = make_comm(kind, p);
+          numeric::SupernodalFactor par;
+          parfact::parallel_multifrontal(*comm, a, part, map, par);
+          index_t local = 0;
+          for (index_t s = 0; s < part.num_supernodes(); ++s) {
+            if (map.is_parallel(s)) continue;
+            ++local;
+            EXPECT_TRUE(same_bytes(seq.block(s), par.block(s)))
+                << "single-rank supernode " << s;
+          }
+          EXPECT_GT(local, 0);
+          if (p == 1) EXPECT_TRUE(same_bytes(seq.values(), par.values()));
+          got.push_back(std::move(par));
+        }
+        EXPECT_TRUE(same_bytes(got[0].values(), got[1].values()))
+            << "threads differs from sim";
+        EXPECT_TRUE(same_bytes(got[0].values(), got[2].values()))
+            << "tasks differs from sim";
       }
     }
   }

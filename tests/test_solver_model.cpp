@@ -9,6 +9,7 @@
 #include "solver/report.hpp"
 #include "solver/sparse_solver.hpp"
 #include "sparse/generators.hpp"
+#include "symbolic/symbolic.hpp"
 #include "trisolve/trisolve.hpp"
 
 namespace sparts {
@@ -38,6 +39,29 @@ INSTANTIATE_TEST_SUITE_P(
                       solver::OrderingMethod::nested_dissection,
                       solver::OrderingMethod::minimum_degree,
                       solver::OrderingMethod::rcm));
+
+TEST(SolverAnalysis, ReportsTheStoredFactor) {
+  // The analysis report describes the partition actually factored: on
+  // fundamental supernodes that is the symbolic factor; under
+  // amalgamation it counts the explicit zeros that are stored and
+  // computed on.
+  const sparse::SymmetricCsc a = sparse::grid2d(24, 24);
+  const solver::SparseSolver fundamental = solver::SparseSolver::factorize(a);
+  const symbolic::SymbolicFactor sym =
+      symbolic::symbolic_cholesky(fundamental.permuted_matrix());
+  EXPECT_EQ(fundamental.info().factor_nnz, sym.nnz());
+  EXPECT_EQ(fundamental.info().factor_flops, sym.factorization_flops());
+
+  solver::Options opt;
+  opt.amalgamation_max_width = 32;
+  opt.amalgamation_relax_zeros = 16;
+  const solver::SparseSolver amalgamated =
+      solver::SparseSolver::factorize(a, opt);
+  EXPECT_EQ(amalgamated.info().factor_nnz,
+            amalgamated.factor().factor_nnz());
+  EXPECT_GT(amalgamated.info().factor_nnz, sym.nnz());
+  EXPECT_GT(amalgamated.info().factor_flops, sym.factorization_flops());
+}
 
 TEST(Solver, AmalgamationOptionStillSolves) {
   const sparse::SymmetricCsc a = sparse::grid3d(5, 5, 4);

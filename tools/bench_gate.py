@@ -23,7 +23,10 @@ Usage:
 
 A missing current file is skipped with a note (the gate only judges what
 was re-run); a missing baseline is a warning (the baseline should be
-committed).  Exit status: 0 ok / warnings only, 1 any failure, 2 usage.
+committed).  A fresh file recorded at another SPARTS_BENCH_SCALE than its
+baseline is one failure naming both scales: its rows describe other
+problem sizes, so none of them is compared.  Exit status: 0 ok /
+warnings only, 1 any failure, 2 usage.
 No dependencies beyond the standard library.
 """
 
@@ -121,7 +124,8 @@ SCHEMAS = {
 }
 
 
-def load_rows(path: Path, schema: dict) -> dict[tuple, dict] | None:
+def load(path: Path, schema: dict) -> tuple[object, dict[tuple, dict]] | None:
+    """The file's recorded scale (None if it has none) and its rows."""
     try:
         doc = json.loads(path.read_text())
     except FileNotFoundError:
@@ -131,7 +135,7 @@ def load_rows(path: Path, schema: dict) -> dict[tuple, dict] | None:
     rows = {}
     for row in doc.get(schema["rows"], []):
         rows[tuple(row.get(k) for k in schema["key"])] = row
-    return rows
+    return doc.get("scale"), rows
 
 
 def regression_pct(direction: str, base: float, cur: float) -> float:
@@ -166,16 +170,23 @@ def main() -> int:
     warnings = failures = compared = 0
     for name in names:
         schema = SCHEMAS[name]
-        cur = load_rows(Path(args.current) / schema["file"], schema)
-        if cur is None:
+        cur_file = load(Path(args.current) / schema["file"], schema)
+        if cur_file is None:
             print(f"[skip] {name}: no fresh {schema['file']} in "
                   f"{args.current} (not re-run)")
             continue
-        base = load_rows(Path(args.baseline) / schema["file"], schema)
-        if base is None:
+        base_file = load(Path(args.baseline) / schema["file"], schema)
+        if base_file is None:
             print(f"[warn] {name}: no baseline {schema['file']} in "
                   f"{args.baseline} — commit one")
             warnings += 1
+            continue
+        (cur_scale, cur), (base_scale, base) = cur_file, base_file
+        if cur_scale != base_scale:
+            print(f"[FAIL] {name}: fresh run at scale {cur_scale}, "
+                  f"baseline at scale {base_scale}; rerun with "
+                  f"SPARTS_BENCH_SCALE={base_scale}")
+            failures += 1
             continue
         for key, base_row in sorted(base.items(), key=str):
             cur_row = cur.get(key)
