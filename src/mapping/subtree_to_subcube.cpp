@@ -42,6 +42,28 @@ void SubcubeMapping::check_consistent(
   }
 }
 
+std::vector<std::vector<index_t>> single_rank_subtrees(
+    const symbolic::SupernodePartition& part, const SubcubeMapping& map) {
+  const index_t nsup = part.num_supernodes();
+  // Ancestors have higher indices, so a descending walk meets a parent
+  // before its children and can hand each one its root.
+  std::vector<index_t> root_of(static_cast<std::size_t>(nsup), -1);
+  for (index_t s = nsup - 1; s >= 0; --s) {
+    if (map.is_parallel(s)) continue;
+    const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
+    root_of[static_cast<std::size_t>(s)] =
+        parent == -1 || map.is_parallel(parent)
+            ? s
+            : root_of[static_cast<std::size_t>(parent)];
+  }
+  std::vector<std::vector<index_t>> subtree(static_cast<std::size_t>(nsup));
+  for (index_t s = 0; s < nsup; ++s) {
+    const index_t root = root_of[static_cast<std::size_t>(s)];
+    if (root != -1) subtree[static_cast<std::size_t>(root)].push_back(s);
+  }
+  return subtree;
+}
+
 namespace {
 
 void assign_forest(const std::vector<std::vector<index_t>>& children,

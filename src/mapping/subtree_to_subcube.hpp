@@ -38,6 +38,14 @@ struct SubcubeMapping {
   void check_consistent(const symbolic::SupernodePartition& part) const;
 };
 
+/// Maximal single-rank subtrees, where (paper §2) one processor works
+/// alone: a supernode with a one-processor group whose parent is shared,
+/// or which has no parent, roots one.  Entry s lists the members of the
+/// subtree s roots, ascending (s last); it is empty for every supernode
+/// that roots none.
+std::vector<std::vector<index_t>> single_rank_subtrees(
+    const symbolic::SupernodePartition& part, const SubcubeMapping& map);
+
 /// Compute the mapping.  `work[s]` is the weight of supernode s (e.g. its
 /// solve or factorization flops); subtree work steers the binpacking at
 /// branchings.  p must be a power of two.

@@ -174,25 +174,8 @@ Report parallel_multifrontal(exec::Comm& machine,
   const exec::TaskGraph sdag = build_supernode_dag(part);
   const std::vector<exec::TaskId> schedule = sdag.topo_schedule();
 
-  // Maximal single-rank subtrees: a q = 1 supernode whose parent is
-  // shared (or absent) roots one, and subtree[root] lists its members
-  // ascending.  Every other q = 1 supernode is factored with its root.
-  std::vector<std::vector<index_t>> subtree(static_cast<std::size_t>(nsup));
-  {
-    std::vector<index_t> root_of(static_cast<std::size_t>(nsup), -1);
-    for (index_t s = nsup - 1; s >= 0; --s) {
-      if (map.is_parallel(s)) continue;
-      const index_t parent = part.stree.parent[static_cast<std::size_t>(s)];
-      root_of[static_cast<std::size_t>(s)] =
-          parent == -1 || map.is_parallel(parent)
-              ? s
-              : root_of[static_cast<std::size_t>(parent)];
-    }
-    for (index_t s = 0; s < nsup; ++s) {
-      const index_t root = root_of[static_cast<std::size_t>(s)];
-      if (root != -1) subtree[static_cast<std::size_t>(root)].push_back(s);
-    }
-  }
+  // Each single-rank subtree is factored in one pass at its root.
+  const auto subtree = mapping::single_rank_subtrees(part, map);
 
   // Position of each below-row of a shared front's child inside that
   // front.

@@ -13,6 +13,7 @@
 #include "partrisolve/layout.hpp"
 #include "partrisolve/packets.hpp"
 #include "partrisolve/solve_dag.hpp"
+#include "trisolve/trisolve.hpp"
 #include "exec/collectives.hpp"
 #include "exec/reliable.hpp"
 
@@ -38,7 +39,7 @@ namespace detail {
 struct Packet {
   index_t peer = -1;               ///< destination world rank
   std::vector<index_t> positions;  ///< positions in the receiver's rows
-  std::vector<index_t> local;      ///< sender's packed local offsets
+  std::vector<index_t> local;      ///< sender's fragment rows
 };
 
 /// A child supernode the backward sweep sends rows down to.
@@ -49,32 +50,38 @@ struct ChildLink {
   std::vector<Packet> packets;  ///< remote rows, ascending peer
 };
 
-/// One rank's share of one supernode: everything a sweep needs that
-/// depends only on the factor structure, the mapping and the block size.
+/// One supernode of a single-rank subtree, placed in its step's window.
+struct Member {
+  const real_t* block = nullptr;  ///< trapezoid, ld = t + below.size()
+  index_t t = 0;
+  index_t j0 = 0;               ///< window row of its first pivot column
+  std::vector<index_t> below;   ///< window rows of its below rows
+};
+
+/// One rank's share of one shared supernode, or one maximal single-rank
+/// subtree: everything a sweep needs that depends only on the factor
+/// structure, the mapping and the block size.
 struct Step {
-  index_t s = 0;
+  index_t s = 0;  ///< the supernode, or the subtree's root
   index_t r = 0;  ///< rank within s's group
   Layout lay;
-  index_t nloc = 0;  ///< packed rows this rank holds
-  /// Factor view: the packed local block under strict storage (read at the
-  /// step, so a fused prologue may fill it first), else the shared block.
-  const PanelVector* panel = nullptr;
-  const real_t* shared = nullptr;
-  /// (packed local offset, global row) of the owned pivot rows.
+  /// Fragment rows: the packed rows this rank holds, or a subtree's window
+  /// (members' columns in member order, then the root's below rows).
+  index_t nloc = 0;
+  index_t row0 = 0;    ///< fragment row of s's position 0 (window tail)
+  index_t offset = 0;  ///< first row of the fragment in the rank's scratch
+  const real_t* block = nullptr;  ///< factor block (see build_plan)
+  bool packed = false;            ///< block is the rank's packed copy
+  /// (fragment row, global row) of the owned pivot rows.
   std::vector<std::pair<index_t, index_t>> pivots;
-  /// Row offsets of the fragment in the rank's forward / backward
-  /// frontier scratch.
-  index_t fw_offset = 0;
-  index_t bw_offset = 0;
-  /// Forward: no local child hand-off touched the fragment before this
-  /// step, so the step zero-fills and gathers it itself.
-  bool fw_init = true;
-  /// Forward: this step's hand-off is the first touch of the parent's
-  /// fragment on this rank.
-  bool fw_init_parent = false;
+  /// A subtree's supernodes, ascending (root last); empty for a shared
+  /// supernode.
+  std::vector<Member> members;
+  /// Below rows the members pass to other members inside the window.
+  index_t inner_rows = 0;
   /// The parent's step on this rank when rows hand off locally, else -1.
   index_t parent_step = -1;
-  /// (my local offset, parent's local offset) of the below rows whose
+  /// (my fragment row, parent's fragment row) of the below rows whose
   /// child and parent owners are both this rank, ascending position.  The
   /// forward sweep adds along it; the backward sweep copies back along it.
   std::vector<std::pair<index_t, index_t>> handoff;
@@ -88,7 +95,7 @@ struct Step {
 
 struct RankPlan {
   std::vector<Step> steps;  ///< forward order; backward walks it reversed
-  index_t frontier_rows = 0;  ///< scratch rows (times m) either sweep uses
+  index_t scratch_rows = 0;  ///< scratch rows (times m): Σ fragment rows
 };
 
 }  // namespace detail
@@ -96,71 +103,12 @@ struct RankPlan {
 namespace {
 
 using detail::ChildLink;
+using detail::Member;
 using detail::Packet;
 using detail::RankPlan;
 using detail::Step;
 
-/// Row ranges of one rank's frontier scratch, handed out in sweep order.
-/// First fit: a fragment takes the lowest free gap it fits in, else the
-/// top, so the scratch stays close to the sweep frontier's peak.
-class FrontierArena {
- public:
-  /// Place a fragment of `rows` rows; returns its offset.
-  index_t place(index_t rows) {
-    if (rows == 0) return 0;
-    for (auto it = gaps_.begin(); it != gaps_.end(); ++it) {
-      if (it->rows < rows) continue;
-      const index_t at = it->offset;
-      it->offset += rows;
-      it->rows -= rows;
-      if (it->rows == 0) gaps_.erase(it);
-      return at;
-    }
-    const index_t at = top_;
-    top_ += rows;
-    peak_ = std::max(peak_, top_);
-    return at;
-  }
-  /// Free the fragment place() put at `offset`.
-  void release(index_t offset, index_t rows) {
-    if (rows == 0) return;
-    auto next = std::lower_bound(
-        gaps_.begin(), gaps_.end(), offset,
-        [](const Gap& g, index_t off) { return g.offset < off; });
-    const bool joins_prev =
-        next != gaps_.begin() && std::prev(next)->offset +
-                                         std::prev(next)->rows == offset;
-    const bool joins_next =
-        next != gaps_.end() && offset + rows == next->offset;
-    if (joins_prev && joins_next) {
-      std::prev(next)->rows += rows + next->rows;
-      gaps_.erase(next);
-    } else if (joins_prev) {
-      std::prev(next)->rows += rows;
-    } else if (joins_next) {
-      next->offset = offset;
-      next->rows += rows;
-    } else {
-      gaps_.insert(next, Gap{offset, rows});
-    }
-    if (!gaps_.empty() && gaps_.back().offset + gaps_.back().rows == top_) {
-      top_ = gaps_.back().offset;
-      gaps_.pop_back();
-    }
-  }
-  index_t peak() const { return peak_; }
-
- private:
-  struct Gap {
-    index_t offset;
-    index_t rows;
-  };
-  std::vector<Gap> gaps_;  ///< free ranges below top_, ascending, coalesced
-  index_t top_ = 0;
-  index_t peak_ = 0;
-};
-
-/// Append the row of position `pos` (local offset `lo`) to the packet for
+/// Append the row of position `pos` (fragment row `lo`) to the packet for
 /// `peer`, keeping one packet per peer.
 void add_to_packet(std::vector<Packet>& packets, index_t peer, index_t pos,
                    index_t lo) {
@@ -630,9 +578,10 @@ void bw_fan_in(exec::Process& proc, const PhaseContext& ctx, index_t s,
 // The solve plan: built once per trisolver, walked by every sweep.
 // ---------------------------------------------------------------------------
 
-/// Every rank's share of every supernode it belongs to, in the forward
-/// sweep order `schedule`, with the hand-off maps, packet routing and
-/// frontier placement resolved.
+/// Every rank's steps in the forward sweep order `schedule`: one per
+/// shared supernode it belongs to and one per maximal single-rank subtree
+/// it owns (at the root's place), with the hand-off maps, packet routing
+/// and fragment placement resolved.
 std::vector<RankPlan> build_plan(const numeric::SupernodalFactor& factor,
                                  const DistributedFactor* local_values,
                                  const mapping::SubcubeMapping& map,
@@ -646,22 +595,24 @@ std::vector<RankPlan> build_plan(const numeric::SupernodalFactor& factor,
   auto layout = [&](index_t s) {
     return Layout{group(s).count, b, part.height(s), part.width(s)};
   };
+  const auto subtree = mapping::single_rank_subtrees(part, map);
+  // Factor block of s on world rank w, `rows` high: its packed local copy
+  // under strict storage (a fused prologue may fill its values later), else
+  // the shared block.
+  auto block_of = [&](index_t w, index_t s, index_t rows) {
+    if (local_values == nullptr) return factor.block(s).data();
+    SPARTS_CHECK(local_values->local_rows(w, s) == rows,
+                 "DistributedFactor layout does not match the mapping");
+    return local_values->local_block(w, s).data();
+  };
 
   // Steps, in schedule order per rank.  Rank r's step of supernode s is
   // plan[base + r].steps[step_at[share[s] + r]].
   std::vector<RankPlan> plan(static_cast<std::size_t>(map.p));
   std::vector<index_t> share(static_cast<std::size_t>(nsup) + 1, 0);
-  std::vector<std::size_t> steps_of_rank(static_cast<std::size_t>(map.p), 0);
   for (index_t s = 0; s < nsup; ++s) {
-    const exec::Group& g = group(s);
     share[static_cast<std::size_t>(s) + 1] =
-        share[static_cast<std::size_t>(s)] + g.count;
-    for (index_t r = 0; r < g.count; ++r) {
-      ++steps_of_rank[static_cast<std::size_t>(g.base + r)];
-    }
-  }
-  for (std::size_t w = 0; w < plan.size(); ++w) {
-    plan[w].steps.reserve(steps_of_rank[w]);
+        share[static_cast<std::size_t>(s)] + group(s).count;
   }
   std::vector<index_t> step_at(
       static_cast<std::size_t>(share[static_cast<std::size_t>(nsup)]));
@@ -673,8 +624,12 @@ std::vector<RankPlan> build_plan(const numeric::SupernodalFactor& factor,
     return plan[static_cast<std::size_t>(group(s).base + r)]
         .steps[static_cast<std::size_t>(step_index(s, r))];
   };
+  // Window row of each global row of the subtree being placed.
+  std::vector<index_t> window(static_cast<std::size_t>(part.n()));
   for (const index_t s : schedule) {
     const exec::Group& g = group(s);
+    const auto& members = subtree[static_cast<std::size_t>(s)];
+    if (!map.is_parallel(s) && members.empty()) continue;  // in a subtree
     const Layout lay = layout(s);
     const auto rows = part.row_indices(s);
     for (index_t r = 0; r < g.count; ++r) {
@@ -687,14 +642,10 @@ std::vector<RankPlan> build_plan(const numeric::SupernodalFactor& factor,
       st.s = s;
       st.r = r;
       st.lay = lay;
+      if (!members.empty()) continue;
       st.nloc = lay.local_count(r);
-      if (local_values != nullptr) {
-        st.panel = &local_values->local_block(w, s);
-        SPARTS_CHECK(local_values->local_rows(w, s) == st.nloc,
-                     "DistributedFactor layout does not match the mapping");
-      } else {
-        st.shared = factor.block(s).data();
-      }
+      st.block = block_of(w, s, st.nloc);
+      st.packed = local_values != nullptr;
       for (index_t blk = r; blk < lay.num_pivot_blocks(); blk += lay.q) {
         const index_t end = std::min(lay.block_end(blk), lay.t);
         for (index_t i = lay.block_begin(blk); i < end; ++i) {
@@ -703,24 +654,48 @@ std::vector<RankPlan> build_plan(const numeric::SupernodalFactor& factor,
         }
       }
     }
+    if (members.empty()) continue;
+
+    // A subtree's window: its members' columns in member order, then the
+    // root's below rows, so the root's rows are the window's tail.
+    Step& st = plan[static_cast<std::size_t>(g.base)].steps.back();
+    for (const index_t c : members) {
+      const index_t j0 = part.first_col[static_cast<std::size_t>(c)];
+      for (index_t k = 0; k < part.width(c); ++k) {
+        window[static_cast<std::size_t>(j0 + k)] = st.nloc;
+        st.pivots.emplace_back(st.nloc++, j0 + k);
+      }
+    }
+    st.row0 = st.nloc - lay.t;
+    for (index_t pos = lay.t; pos < lay.ns; ++pos) {
+      window[static_cast<std::size_t>(rows[static_cast<std::size_t>(pos)])] =
+          st.nloc++;
+    }
+    for (const index_t c : members) {
+      Member& mb = st.members.emplace_back();
+      mb.t = part.width(c);
+      mb.j0 = window[static_cast<std::size_t>(
+          part.first_col[static_cast<std::size_t>(c)])];
+      mb.block = block_of(g.base, c, part.height(c));
+      // A member's below rows are columns of its ancestors in the subtree
+      // or below rows of the root, all placed just above.
+      for (const index_t row : part.row_indices(c).subspan(
+               static_cast<std::size_t>(mb.t))) {
+        mb.below.push_back(window[static_cast<std::size_t>(row)]);
+      }
+      if (c != s) st.inner_rows += part.height(c) - mb.t;
+    }
   }
 
-  // Owner and packed offset of a position; a sequential supernode (q = 1)
-  // holds every position at its own offset, without block arithmetic.
-  auto owner = [](const Layout& l, index_t pos) {
-    return l.q == 1 ? 0 : l.owner_of(pos);
-  };
-  auto local = [](const Layout& l, index_t pos) {
-    return l.q == 1 ? pos : l.local_of(pos);
-  };
-
-  // Child -> parent edges: every below row of a child lands at one
+  // Child -> parent edges of the shared supernodes (a subtree's own edges
+  // stay inside its window): every below row of a child lands at one
   // position of its parent.  Owners equal on both sides make a local
   // hand-off; otherwise the row travels in the forward packet to the
   // parent owner and in the backward packet to the child owner.
   const auto children = ordering::tree_children(part.stree);
   std::vector<std::pair<index_t, index_t>> pairs;
   for (index_t parent = 0; parent < nsup; ++parent) {
+    if (!map.is_parallel(parent)) continue;
     const exec::Group& pg = group(parent);
     const Layout play = layout(parent);
     const auto prows = part.row_indices(parent);
@@ -729,11 +704,6 @@ std::vector<RankPlan> build_plan(const numeric::SupernodalFactor& factor,
       const Layout clay = layout(c);
       const auto rows = part.row_indices(c);
       pairs.clear();
-      // Every row hands off locally: size the map exactly.
-      if (cg.count == 1 && pg.count == 1 && cg.base == pg.base) {
-        step_of(c, 0).handoff.reserve(
-            static_cast<std::size_t>(clay.ns - clay.t));
-      }
       Step* cs = nullptr;
       Step* ps = nullptr;
       std::size_t j = 0;  // both row lists ascend: merge
@@ -743,14 +713,14 @@ std::vector<RankPlan> build_plan(const numeric::SupernodalFactor& factor,
         SPARTS_CHECK(j < prows.size() && prows[j] == row,
                      "child row " << row << " missing from parent structure");
         const index_t ppos = static_cast<index_t>(j);
-        const index_t rc = owner(clay, pos);
-        const index_t rp = owner(play, ppos);
+        const index_t rc = clay.owner_of(pos);
+        const index_t rp = play.owner_of(ppos);
         const index_t wc = cg.base + rc;
         const index_t wp = pg.base + rp;
-        const index_t lo = local(clay, pos);
-        const index_t plo = local(play, ppos);
         if (cs == nullptr || cs->r != rc) cs = &step_of(c, rc);
         if (ps == nullptr || ps->r != rp) ps = &step_of(parent, rp);
+        const index_t lo = cs->row0 + clay.local_of(pos);
+        const index_t plo = play.local_of(ppos);
         if (ps->children.empty() || ps->children.back().child != c) {
           ps->children.emplace_back().child = c;
         }
@@ -775,48 +745,14 @@ std::vector<RankPlan> build_plan(const numeric::SupernodalFactor& factor,
     }
   }
 
-  // Sends go out in ascending peer order; fragments get their frontier
-  // rows in sweep order, forward and backward separately.
-  std::vector<char> placed;
+  // Sends go out in ascending peer order; fragments sit side by side.
   for (RankPlan& rp : plan) {
-    auto& steps = rp.steps;
-    for (Step& st : steps) {
+    for (Step& st : rp.steps) {
       sort_by_peer(st.fw_send);
       for (ChildLink& link : st.children) sort_by_peer(link.packets);
+      st.offset = rp.scratch_rows;
+      rp.scratch_rows += st.nloc;
     }
-    FrontierArena fw;
-    placed.assign(steps.size(), 0);
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      Step& st = steps[i];
-      if (placed[i] == 0) {
-        st.fw_offset = fw.place(st.nloc);
-      } else {
-        st.fw_init = false;
-      }
-      if (st.parent_step >= 0) {
-        const auto pj = static_cast<std::size_t>(st.parent_step);
-        if (placed[pj] == 0) {
-          placed[pj] = 1;
-          steps[pj].fw_offset = fw.place(steps[pj].nloc);
-          st.fw_init_parent = true;
-        }
-      }
-      fw.release(st.fw_offset, st.nloc);
-    }
-    FrontierArena bw;
-    placed.assign(steps.size(), 0);
-    for (std::size_t i = steps.size(); i-- > 0;) {
-      Step& st = steps[i];
-      if (placed[i] == 0) st.bw_offset = bw.place(st.nloc);
-      for (const ChildLink& link : st.children) {
-        if (link.step < 0) continue;
-        const auto cj = static_cast<std::size_t>(link.step);
-        placed[cj] = 1;
-        steps[cj].bw_offset = bw.place(steps[cj].nloc);
-      }
-      bw.release(st.bw_offset, st.nloc);
-    }
-    rp.frontier_rows = std::max(fw.peak(), bw.peak());
   }
   return plan;
 }
@@ -834,17 +770,7 @@ void init_fragment(const Step& st, real_t* v, std::span<const real_t> source,
 /// The factor view of a step: the packed local copy under strict storage,
 /// the shared host block otherwise.
 LView view_of(const Step& st) {
-  LView lv;
-  lv.lay = &st.lay;
-  if (st.panel != nullptr) {
-    lv.base = st.panel->data();
-    lv.ld = st.nloc;
-    lv.packed = true;
-  } else {
-    lv.base = st.shared;
-    lv.ld = st.lay.ns;
-  }
-  return lv;
+  return LView{st.block, st.packed ? st.nloc : st.lay.ns, st.packed, &st.lay};
 }
 
 /// Serialize the rows of fragment `v` (ld `nloc`) that `pk` routes.
@@ -914,7 +840,7 @@ DistributedTrisolver::DistributedTrisolver(
     plan_ = build_plan(factor_, local_values, map_, b, fdag.topo_schedule());
   }
   backward_graph_ = build_backward_dag(part).analyze();
-  frontier_.resize(static_cast<std::size_t>(map_.p));
+  scratch_.resize(static_cast<std::size_t>(map_.p));
 }
 
 DistributedTrisolver::~DistributedTrisolver() = default;
@@ -946,10 +872,10 @@ exec::RunStats DistributedTrisolver::run_sweep(
     const auto w = static_cast<std::size_t>(proc.rank());
     // Grown (never shrunk) inside the rank, so its pages are first
     // touched by the thread that uses them.
-    const auto rows = static_cast<std::size_t>(plan_[w].frontier_rows);
-    std::vector<real_t>& scratch = frontier_[w];
-    if (scratch.size() < rows * static_cast<std::size_t>(m)) {
-      scratch.resize(rows * static_cast<std::size_t>(m));
+    const auto rows = static_cast<std::size_t>(plan_[w].scratch_rows);
+    std::vector<real_t>& buf = scratch_[w];
+    if (buf.size() < rows * static_cast<std::size_t>(m)) {
+      buf.resize(rows * static_cast<std::size_t>(m));
     }
     spmd(proc);
   });
@@ -967,22 +893,31 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
     const std::vector<Step>& steps = plan_[static_cast<std::size_t>(w)].steps;
-    real_t* frontier = frontier_[static_cast<std::size_t>(w)].data();
+    real_t* scratch = scratch_[static_cast<std::size_t>(w)].data();
+    for (const Step& st : steps) {
+      init_fragment(st, scratch + st.offset * m, b_in, n, m);
+    }
+    std::vector<real_t> temp;
     for (const Step& st : steps) {
       const index_t s = st.s;
-      const index_t q = st.lay.q;
-      exec::note_progress(proc, "fw supernode", s);
-      SPARTS_TRACE_SPAN(proc, obs::Category::compute, "fw.supernode",
-                        static_cast<std::int64_t>(s),
-                        static_cast<std::int64_t>(q));
+      const bool subtree = !st.members.empty();
+      if (subtree) {
+        exec::note_progress(proc, "fw subtree", s);
+      } else {
+        exec::note_progress(proc, "fw supernode", s);
+      }
+      SPARTS_TRACE_SPAN(
+          proc, obs::Category::compute,
+          subtree ? "fw.subtree" : "fw.supernode",
+          static_cast<std::int64_t>(s),
+          static_cast<std::int64_t>(subtree ? st.members.size() : st.lay.q));
       // Fusion hook: runs before any factor block of s is read, so a
       // fused redistribution can deliver the supernode's 1-D fragments
       // just in time for the solve below (tags disjoint by tag_limit()).
-      if (forward_prologue_) forward_prologue_(proc, s);
+      if (forward_prologue_ && !subtree) forward_prologue_(proc, s);
       const Layout& lay = st.lay;
       const index_t nloc = st.nloc;
-      real_t* v = frontier + st.fw_offset * m;
-      if (st.fw_init) init_fragment(st, v, b_in, n, m);
+      real_t* v = scratch + st.offset * m;
 
       // Receive remote child contributions.
       for (const auto& [src, c] : st.fw_recv) {
@@ -1002,26 +937,26 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
                         proc.cost().t_mem);
       }
 
-      const LView lv = view_of(st);
-      if (q == 1) {
-        // Entire trapezoid local: dense triangular solve + rectangle update.
-        proc.compute_at(static_cast<double>(dense::panel_trsm_lower(
-                            lay.t, m, lv.base, lv.ld, v, nloc)),
-                        proc.cost().panel_flop(m));
-        const index_t below = lay.ns - lay.t;
-        if (below > 0) {
-          dense::panel_gemm(below, m, lay.t, -1.0, lv.base + lv.row(lay.t),
-                            lv.ld, v, nloc, v + lay.t, nloc);
-          proc.compute_at(
-              static_cast<double>(dense::gemm_flops(below, m, lay.t)),
-              proc.cost().panel_flop(m));
+      if (subtree) {
+        // trisolve's kernel on each member, ascending, charged as one
+        // compute and one memory step.
+        nnz_t flops = 0;
+        for (const Member& mb : st.members) {
+          flops += trisolve::forward_supernode(mb.block, mb.t, mb.below, v,
+                                               nloc, mb.j0, m, temp);
         }
-      } else if (options_.pipelining == Pipelining::column_priority) {
-        fw_pipelined_column_priority(proc, ctx, s, lay, st.r, lv, v, nloc);
-      } else if (options_.pipelining == Pipelining::row_priority) {
-        fw_pipelined_row_priority(proc, ctx, s, lay, st.r, lv, v, nloc);
+        proc.compute_at(static_cast<double>(flops), proc.cost().panel_flop(m));
+        proc.compute_at(static_cast<double>(st.inner_rows * m),
+                        proc.cost().t_mem);
       } else {
-        fw_fan_out(proc, ctx, s, lay, st.r, lv, v, nloc);
+        const LView lv = view_of(st);
+        if (options_.pipelining == Pipelining::column_priority) {
+          fw_pipelined_column_priority(proc, ctx, s, lay, st.r, lv, v, nloc);
+        } else if (options_.pipelining == Pipelining::row_priority) {
+          fw_pipelined_row_priority(proc, ctx, s, lay, st.r, lv, v, nloc);
+        } else {
+          fw_fan_out(proc, ctx, s, lay, st.r, lv, v, nloc);
+        }
       }
 
       // Publish Y at my pivot positions.
@@ -1033,8 +968,7 @@ PhaseReport DistributedTrisolver::forward(exec::Comm& machine,
       // -L21*y, so it adds directly into the parent fragment.
       if (st.parent_step >= 0) {
         const Step& ps = steps[static_cast<std::size_t>(st.parent_step)];
-        real_t* pv = frontier + ps.fw_offset * m;
-        if (st.fw_init_parent) init_fragment(ps, pv, b_in, n, m);
+        real_t* pv = scratch + ps.offset * m;
         for (const auto& [lo, plo] : st.handoff) {
           for (index_t c = 0; c < m; ++c) {
             pv[c * ps.nloc + plo] += v[c * nloc + lo];
@@ -1068,20 +1002,28 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
   auto spmd = [&](exec::Process& proc) {
     const index_t w = proc.rank();
     const std::vector<Step>& steps = plan_[static_cast<std::size_t>(w)].steps;
-    real_t* frontier = frontier_[static_cast<std::size_t>(w)].data();
+    real_t* scratch = scratch_[static_cast<std::size_t>(w)].data();
+    for (const Step& st : steps) {
+      init_fragment(st, scratch + st.offset * m, y_in, n, m);
+    }
+    std::vector<real_t> temp;
     for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
       const Step& st = *it;
       const index_t s = st.s;
-      const index_t q = st.lay.q;
-      exec::note_progress(proc, "bw supernode", s);
-      SPARTS_TRACE_SPAN(proc, obs::Category::compute, "bw.supernode",
-                        static_cast<std::int64_t>(s),
-                        static_cast<std::int64_t>(q));
+      const bool subtree = !st.members.empty();
+      if (subtree) {
+        exec::note_progress(proc, "bw subtree", s);
+      } else {
+        exec::note_progress(proc, "bw supernode", s);
+      }
+      SPARTS_TRACE_SPAN(
+          proc, obs::Category::compute,
+          subtree ? "bw.subtree" : "bw.supernode",
+          static_cast<std::int64_t>(s),
+          static_cast<std::int64_t>(subtree ? st.members.size() : st.lay.q));
       const Layout& lay = st.lay;
       const index_t nloc = st.nloc;
-      real_t* wv = frontier + st.bw_offset * m;
-      // A fragment the parent copied rows into was set up by the parent.
-      if (st.handoff.empty()) init_fragment(st, wv, y_in, n, m);
+      real_t* wv = scratch + st.offset * m;
 
       // Receive the below-part values from the parent.
       for (const index_t src : st.bw_recv) {
@@ -1089,7 +1031,7 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
         RhsPacket pkt = unpack_rhs(msg.payload, m);
         check_finite_cheap(pkt.values, "bw parent values", s);
         for (std::size_t z = 0; z < pkt.positions.size(); ++z) {
-          const index_t lo = lay.local_of(pkt.positions[z]);
+          const index_t lo = st.row0 + lay.local_of(pkt.positions[z]);
           for (index_t col = 0; col < m; ++col) {
             wv[col * nloc + lo] = pkt.values[z * static_cast<std::size_t>(m) +
                                              static_cast<std::size_t>(col)];
@@ -1100,25 +1042,19 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
                         proc.cost().t_mem);
       }
 
-      const LView lv = view_of(st);
-      if (q == 1) {
-        const index_t below = lay.ns - lay.t;
-        if (below > 0) {
-          dense::panel_gemm_at(lay.t, m, below, -1.0,
-                               lv.base + lv.row(lay.t), lv.ld,
-                               wv + lay.t, nloc, wv, nloc);
-          proc.compute_at(
-              static_cast<double>(dense::gemm_flops(lay.t, m, below)),
-              proc.cost().panel_flop(m));
+      if (subtree) {
+        nnz_t flops = 0;
+        for (auto mb = st.members.rbegin(); mb != st.members.rend(); ++mb) {
+          flops += trisolve::backward_supernode(mb->block, mb->t, mb->below,
+                                                wv, nloc, mb->j0, m, temp);
         }
-        proc.compute_at(
-            static_cast<double>(dense::panel_trsm_lower_transposed(
-                lay.t, m, lv.base, lv.ld, wv, nloc)),
-            proc.cost().panel_flop(m));
+        proc.compute_at(static_cast<double>(flops), proc.cost().panel_flop(m));
+        proc.compute_at(static_cast<double>(st.inner_rows * m),
+                        proc.cost().t_mem);
       } else if (options_.pipelining == Pipelining::fan_out) {
-        bw_fan_in(proc, ctx, s, lay, st.r, lv, wv, nloc);
+        bw_fan_in(proc, ctx, s, lay, st.r, view_of(st), wv, nloc);
       } else {
-        bw_pipelined(proc, ctx, s, lay, st.r, lv, wv, nloc);
+        bw_pipelined(proc, ctx, s, lay, st.r, view_of(st), wv, nloc);
       }
 
       // Publish X at my pivot positions.
@@ -1130,8 +1066,7 @@ PhaseReport DistributedTrisolver::backward(exec::Comm& machine,
       for (const ChildLink& link : st.children) {
         if (link.step >= 0) {
           const Step& cs = steps[static_cast<std::size_t>(link.step)];
-          real_t* cv = frontier + cs.bw_offset * m;
-          init_fragment(cs, cv, y_in, n, m);
+          real_t* cv = scratch + cs.offset * m;
           for (const auto& [clo, lo] : cs.handoff) {
             for (index_t col = 0; col < m; ++col) {
               cv[col * cs.nloc + clo] = wv[col * nloc + lo];

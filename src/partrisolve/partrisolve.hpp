@@ -4,16 +4,21 @@
 //
 // Structure of the computation:
 //   * The supernodal elimination tree is mapped subtree-to-subcube: each
-//     supernode is owned by a group (subcube) of processors; sequential
-//     subtrees run entirely on one processor.
+//     supernode is owned by a group (subcube) of processors.
+//   * Each maximal single-rank subtree (mapping::single_rank_subtrees) is
+//     one step of its processor's sweep: a working window of its members'
+//     columns followed by the root's below rows, solved with trisolve's
+//     per-supernode kernels.  Forward Y on its columns is the sequential
+//     Y bit for bit, and at p = 1 the whole solve is trisolve's.
 //   * A supernode shared by q processors is distributed 1-D row-wise
 //     block-cyclic with block size b and processed with the pipelined
 //     algorithm of Figs. 3-4: solved sub-vectors of size b x m circulate
 //     around the group's ring while each processor updates its own block
 //     rows (column-priority) or block rows in row order (row-priority).
-//   * Between a supernode and its parent, right-hand-side fragments are
-//     routed point-to-point from each fragment's owner to the owner of the
-//     corresponding position in the parent's distribution.
+//   * Between a shared supernode and its children (shared supernodes or
+//     subtree roots), right-hand-side fragments are routed point-to-point
+//     from each fragment's owner to the owner of the corresponding
+//     position in the other's distribution.
 //
 // Forward elimination walks the tree bottom-up producing Y (L Y = B);
 // backward substitution walks top-down producing X (L^T X = Y).
@@ -71,11 +76,12 @@ struct RankPlan;
 ///
 /// Everything that depends only on the factor structure, the mapping and
 /// the block size is built once, by the constructor, into a per-rank solve
-/// plan: the sweep schedule, the factor views, pivot gather/scatter rows,
-/// the child <-> parent hand-off maps and packet routing, and each
-/// fragment's place in a frontier-sized scratch.  forward() and
-/// backward() only walk that plan, so one trisolver amortizes it over any
-/// number of solves.  Sweeps on one trisolver must not overlap (checked).
+/// plan: one step per shared supernode and per single-rank subtree in
+/// sweep order, the factor views, pivot gather/scatter rows, the subtree
+/// windows, the child <-> parent hand-off maps and packet routing, and
+/// each fragment's place in the rank's scratch.  forward() and backward()
+/// only walk that plan, so one trisolver amortizes it over any number of
+/// solves.  Sweeps on one trisolver must not overlap (checked).
 class DistributedTrisolver {
  public:
   DistributedTrisolver(const numeric::SupernodalFactor& factor,
@@ -121,8 +127,10 @@ class DistributedTrisolver {
   int tag_limit() const;
 
   /// Install a per-supernode prologue that forward() invokes at each
-  /// rank's first (and only) touch of supernode s — after the rank is
-  /// known to belong to s's group, before any factor block of s is read.
+  /// rank's first (and only) touch of a shared supernode s — after the
+  /// rank is known to belong to s's group, before any factor block of s is
+  /// read.  It does not fire for the supernodes of single-rank subtrees,
+  /// whose factor blocks are in place before the sweep.
   /// This is the hook for pipeline fusion: the solver-level driver uses
   /// it to run redist::redistribute_supernode inside the forward sweep,
   /// so the 2-D -> 1-D conversion overlaps the solve instead of running
@@ -135,7 +143,7 @@ class DistributedTrisolver {
 
  private:
   /// Run one sweep's SPMD body on `machine`, holding the per-rank
-  /// frontier scratch (sized for m right-hand sides) for its duration.
+  /// scratch (sized for m right-hand sides) for its duration.
   exec::RunStats run_sweep(exec::Comm& machine, index_t m,
                            const std::function<void(exec::Process&)>& spmd)
       const;
@@ -152,9 +160,10 @@ class DistributedTrisolver {
   std::vector<detail::RankPlan> plan_;
   exec::GraphStats forward_graph_;
   exec::GraphStats backward_graph_;
-  /// Per-rank frontier scratch, recycled across supernodes and solves.
-  /// A sweep holds it exclusively; see run_sweep().
-  mutable std::vector<std::vector<real_t>> frontier_;
+  /// Per-rank scratch holding every fragment and subtree window of the
+  /// rank's plan side by side, recycled across solves.  A sweep holds it
+  /// exclusively; see run_sweep().
+  mutable std::vector<std::vector<real_t>> scratch_;
   mutable std::atomic<bool> sweeping_{false};
   /// Optional fusion hook; see set_forward_prologue().
   std::function<void(exec::Process&, index_t)> forward_prologue_;

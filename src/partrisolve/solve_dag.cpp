@@ -148,20 +148,12 @@ void taskdag_solve(const numeric::SupernodalFactor& l, real_t* b, index_t m,
       }
 
       const index_t t = part.width(s);
-      const index_t ns = part.height(s);
-      const index_t j0 = part.first_col[static_cast<std::size_t>(s)];
-      auto block = l.block(s);
-      nnz_t f =
-          dense::panel_trsm_lower(t, m, block.data(), ns, b + j0, n);
-      const index_t below = ns - t;
-      if (below > 0) {
-        auto& tv = contrib[static_cast<std::size_t>(s)];
-        tv.assign(static_cast<std::size_t>(below) * m, 0.0);
-        dense::panel_gemm(below, m, t, 1.0, block.data() + t, ns, b + j0, n,
-                          tv.data(), below);
-        f += dense::gemm_flops(below, m, t);
-      }
-      flops.fetch_add(f, std::memory_order_relaxed);
+      flops.fetch_add(
+          trisolve::forward_supernode_product(
+              l.block(s).data(), t, part.height(s) - t,
+              b + part.first_col[static_cast<std::size_t>(s)], n, m,
+              contrib[static_cast<std::size_t>(s)]),
+          std::memory_order_relaxed);
     };
   }
 
@@ -169,31 +161,15 @@ void taskdag_solve(const numeric::SupernodalFactor& l, real_t* b, index_t m,
   for (exec::TaskId id = 0; id < bw.num_tasks(); ++id) {
     const index_t s = bw.node(id).item;
     bw.node(id).body = [&, s] {
+      // Reads only rows my predecessors finalized, writes only my own.
       const index_t t = part.width(s);
-      const index_t ns = part.height(s);
-      const index_t j0 = part.first_col[static_cast<std::size_t>(s)];
-      auto block = l.block(s);
-      const index_t below = ns - t;
-      nnz_t f = 0;
-      if (below > 0) {
-        // Gather ancestor rows of X (finalized by my predecessors), then
-        // X1 -= L21^T * X2.
-        const auto rows = part.row_indices(s);
-        std::vector<real_t> temp(static_cast<std::size_t>(below) * m, 0.0);
-        for (index_t c = 0; c < m; ++c) {
-          const real_t* bc = b + c * n;
-          real_t* tc = temp.data() + static_cast<std::size_t>(c) * below;
-          for (index_t i = 0; i < below; ++i) {
-            tc[i] = bc[rows[static_cast<std::size_t>(t + i)]];
-          }
-        }
-        dense::panel_gemm_at(t, m, below, -1.0, block.data() + t, ns,
-                             temp.data(), below, b + j0, n);
-        f += dense::gemm_flops(t, m, below);
-      }
-      f += dense::panel_trsm_lower_transposed(t, m, block.data(), ns, b + j0,
-                                              n);
-      flops.fetch_add(f, std::memory_order_relaxed);
+      std::vector<real_t> temp;
+      flops.fetch_add(
+          trisolve::backward_supernode(
+              l.block(s).data(), t,
+              part.row_indices(s).subspan(static_cast<std::size_t>(t)), b, n,
+              part.first_col[static_cast<std::size_t>(s)], m, temp),
+          std::memory_order_relaxed);
     };
   }
 

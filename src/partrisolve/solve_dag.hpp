@@ -6,18 +6,20 @@
 // Backward substitution reads those same rows after their owners finalized
 // them, so its DAG is the forward DAG with every edge reversed.
 //
-// taskdag_solve executes both phases on a work-stealing TaskScheduler and
-// is bit-identical to trisolve::full_solve:
-//   * forward — a supernode's task buffers its rectangle product
-//     (temp = L21 * X1) instead of scattering it; each *target* supernode
-//     applies the buffered subtractions destined to its rows in ascending
-//     source order before its own triangular solve.  For any single
+// taskdag_solve executes both phases on a work-stealing TaskScheduler with
+// trisolve's per-supernode kernels and is bit-identical to
+// trisolve::full_solve:
+//   * forward — a supernode's task runs the kernel's trsm + product half
+//     and buffers the product (temp = L21 * X1) instead of scattering it;
+//     each *target* supernode applies the buffered subtractions destined
+//     to its rows in ascending source order before its own triangular
+//     solve.  For any single
 //     right-hand-side entry this replays the sequential subtraction
 //     sequence exactly (sources ascending, one touch per source), and the
 //     sequence of values every trsm reads is therefore unchanged;
-//   * backward — a task reads only rows its ancestors have finalized and
-//     writes only its own rows, so the per-supernode arithmetic is the
-//     sequential arithmetic verbatim under any topological order.
+//   * backward — a task runs trisolve::backward_supernode, which reads
+//     only rows its ancestors have finalized and writes only its own, so
+//     the arithmetic is the sequential one under any topological order.
 #pragma once
 
 #include "exec/task_scheduler.hpp"

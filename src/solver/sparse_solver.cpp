@@ -82,7 +82,11 @@ symbolic::SupernodePartition analyze(const sparse::SymmetricCsc& a_perm,
     info->factor_nnz = part.factor_nnz();
     info->factor_flops = part.factorization_flops();
     info->num_supernodes = part.num_supernodes();
-    info->solve_flops_per_rhs = sym.solve_flops(1);
+    // SupernodalFactor::solve_flops(1) of the factor this partition holds.
+    info->solve_flops_per_rhs = 0;
+    for (index_t s = 0; s < part.num_supernodes(); ++s) {
+      info->solve_flops_per_rhs += 2 * part.solve_flops(s, 1);
+    }
   }
   return part;
 }

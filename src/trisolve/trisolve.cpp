@@ -8,40 +8,79 @@
 
 namespace sparts::trisolve {
 
+nnz_t forward_supernode_product(const real_t* block, index_t t, index_t below,
+                                real_t* x1, index_t ldx, index_t m,
+                                std::vector<real_t>& temp) {
+  const index_t ns = t + below;
+  // Dense triangular solve on the supernode's own rows.
+  nnz_t flops = dense::panel_trsm_lower(t, m, block, ns, x1, ldx);
+  // Rectangle product: temp = L21 * X1.
+  if (below > 0) {
+    temp.assign(static_cast<std::size_t>(below) * m, 0.0);
+    dense::panel_gemm(below, m, t, 1.0, block + t, ns, x1, ldx, temp.data(),
+                      below);
+    flops += dense::gemm_flops(below, m, t);
+  }
+  return flops;
+}
+
+nnz_t forward_supernode(const real_t* block, index_t t,
+                        std::span<const index_t> below, real_t* v,
+                        index_t ldv, index_t j0, index_t m,
+                        std::vector<real_t>& temp) {
+  const auto nb = static_cast<index_t>(below.size());
+  const nnz_t flops =
+      forward_supernode_product(block, t, nb, v + j0, ldv, m, temp);
+  // Scatter the product into the ancestors' rows.
+  for (index_t c = 0; c < m; ++c) {
+    real_t* vc = v + c * ldv;
+    const real_t* tc = temp.data() + static_cast<std::size_t>(c) * nb;
+    for (index_t i = 0; i < nb; ++i) {
+      vc[below[static_cast<std::size_t>(i)]] -= tc[i];
+    }
+  }
+  return flops;
+}
+
+nnz_t backward_supernode(const real_t* block, index_t t,
+                         std::span<const index_t> below, real_t* v,
+                         index_t ldv, index_t j0, index_t m,
+                         std::vector<real_t>& temp) {
+  const auto nb = static_cast<index_t>(below.size());
+  const index_t ns = t + nb;
+  nnz_t flops = 0;
+  if (nb > 0) {
+    // Gather ancestor rows of X, then X1 -= L21^T * X2.
+    temp.assign(static_cast<std::size_t>(nb) * m, 0.0);
+    for (index_t c = 0; c < m; ++c) {
+      const real_t* vc = v + c * ldv;
+      real_t* tc = temp.data() + static_cast<std::size_t>(c) * nb;
+      for (index_t i = 0; i < nb; ++i) {
+        tc[i] = vc[below[static_cast<std::size_t>(i)]];
+      }
+    }
+    dense::panel_gemm_at(t, m, nb, -1.0, block + t, ns, temp.data(), nb,
+                         v + j0, ldv);
+    flops += dense::gemm_flops(t, m, nb);
+  }
+  // Dense transposed-triangular solve on the supernode's own rows.
+  flops += dense::panel_trsm_lower_transposed(t, m, block, ns, v + j0, ldv);
+  return flops;
+}
+
 void forward_solve(const numeric::SupernodalFactor& l, real_t* b, index_t m,
                    SolveStats* stats) {
   const auto& p = l.partition();
-  const index_t n = p.n();
   nnz_t flops = 0;
   std::vector<real_t> temp;
-
   // Supernodes are numbered so that ancestors have higher indices
   // (column-contiguity), so ascending order is a valid bottom-up sweep.
   for (index_t s = 0; s < p.num_supernodes(); ++s) {
     const index_t t = p.width(s);
-    const index_t ns = p.height(s);
-    const index_t j0 = p.first_col[static_cast<std::size_t>(s)];
-    auto block = l.block(s);
-
-    // Dense triangular solve on the supernode's own rows of B.
-    flops += dense::panel_trsm_lower(t, m, block.data(), ns, b + j0, n);
-
-    // Rectangle update: temp = L21 * X1, scattered into ancestor rows.
-    const index_t below = ns - t;
-    if (below > 0) {
-      temp.assign(static_cast<std::size_t>(below) * m, 0.0);
-      dense::panel_gemm(below, m, t, 1.0, block.data() + t, ns, b + j0, n,
-                        temp.data(), below);
-      flops += dense::gemm_flops(below, m, t);
-      auto rows = p.row_indices(s);
-      for (index_t c = 0; c < m; ++c) {
-        real_t* bc = b + c * n;
-        const real_t* tc = temp.data() + static_cast<std::size_t>(c) * below;
-        for (index_t i = 0; i < below; ++i) {
-          bc[rows[static_cast<std::size_t>(t + i)]] -= tc[i];
-        }
-      }
-    }
+    const auto below = p.row_indices(s).subspan(static_cast<std::size_t>(t));
+    flops += forward_supernode(l.block(s).data(), t, below, b, p.n(),
+                               p.first_col[static_cast<std::size_t>(s)], m,
+                               temp);
   }
   if (stats != nullptr) stats->flops += flops;
 }
@@ -49,36 +88,14 @@ void forward_solve(const numeric::SupernodalFactor& l, real_t* b, index_t m,
 void backward_solve(const numeric::SupernodalFactor& l, real_t* b, index_t m,
                     SolveStats* stats) {
   const auto& p = l.partition();
-  const index_t n = p.n();
   nnz_t flops = 0;
   std::vector<real_t> temp;
-
   for (index_t s = p.num_supernodes() - 1; s >= 0; --s) {
     const index_t t = p.width(s);
-    const index_t ns = p.height(s);
-    const index_t j0 = p.first_col[static_cast<std::size_t>(s)];
-    auto block = l.block(s);
-    const index_t below = ns - t;
-
-    if (below > 0) {
-      // Gather ancestor rows of X, then X1 -= L21^T * X2.
-      auto rows = p.row_indices(s);
-      temp.assign(static_cast<std::size_t>(below) * m, 0.0);
-      for (index_t c = 0; c < m; ++c) {
-        const real_t* bc = b + c * n;
-        real_t* tc = temp.data() + static_cast<std::size_t>(c) * below;
-        for (index_t i = 0; i < below; ++i) {
-          tc[i] = bc[rows[static_cast<std::size_t>(t + i)]];
-        }
-      }
-      dense::panel_gemm_at(t, m, below, -1.0, block.data() + t, ns,
-                           temp.data(), below, b + j0, n);
-      flops += dense::gemm_flops(t, m, below);
-    }
-
-    // Dense transposed-triangular solve on the supernode's own rows.
-    flops += dense::panel_trsm_lower_transposed(t, m, block.data(), ns,
-                                                b + j0, n);
+    const auto below = p.row_indices(s).subspan(static_cast<std::size_t>(t));
+    flops += backward_supernode(l.block(s).data(), t, below, b, p.n(),
+                                p.first_col[static_cast<std::size_t>(s)], m,
+                                temp);
   }
   if (stats != nullptr) stats->flops += flops;
 }

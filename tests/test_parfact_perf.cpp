@@ -1,33 +1,40 @@
-// Cheap perf tripwire for the distributed factorization at p = 1: with the
-// whole tree in single-rank subtrees, parallel_multifrontal runs the
-// sequential multifrontal steps, so on a wall-clock backend it must stay
-// within 1.3x of numeric::multifrontal_cholesky on the same partition
-// (process CPU time, best of three).  It is skipped in unoptimized and
-// sanitizer builds, where relative timings are meaningless.
+// Cheap perf tripwires for the distributed code at p = 1, where the whole
+// tree is one single-rank subtree:
+//   * parallel_multifrontal runs the sequential multifrontal steps, so on a
+//     wall-clock backend it must stay within 1.3x of
+//     numeric::multifrontal_cholesky on the same partition;
+//   * DistributedTrisolver's sweeps run trisolve's per-supernode kernels in
+//     one window, so forward + backward must stay within 1.3x of
+//     trisolve::full_solve on the same factor.
+// Both compare process CPU time, best of three.  They are skipped in
+// unoptimized and sanitizer builds, where relative timings are meaningless.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <ctime>
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "exec/task_backend.hpp"
 #include "mapping/subtree_to_subcube.hpp"
 #include "numeric/multifrontal.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "parfact/parfact.hpp"
+#include "partrisolve/partrisolve.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
 #include "symbolic/supernodes.hpp"
 #include "symbolic/symbolic.hpp"
+#include "trisolve/trisolve.hpp"
 
 namespace sparts {
 namespace {
 
 /// CPU seconds the whole process spends in `body`: the backend's worker
-/// runs the factorization while the calling thread sleeps, and time the
-/// host hands to other processes (ctest runs the suite in parallel) is
-/// not charged.
+/// runs the work while the calling thread sleeps, and time the host hands
+/// to other processes (ctest runs the suite in parallel) is not charged.
 double cpu_seconds(const std::function<void()>& body) {
   timespec t0{};
   timespec t1{};
@@ -38,50 +45,35 @@ double cpu_seconds(const std::function<void()>& body) {
          1e-9 * static_cast<double>(t1.tv_nsec - t0.tv_nsec);
 }
 
-TEST(ParfactPerfSmoke, OneRankFactorWithinThirtyPercentOfSequential) {
-#ifndef NDEBUG
-  GTEST_SKIP() << "unoptimized build: factorization timings are meaningless";
-#endif
-#ifdef SPARTS_SANITIZE_BUILD
-  GTEST_SKIP() << "sanitizer build: factorization timings are meaningless";
-#else
-  const index_t k = 20;
-  const sparse::SymmetricCsc a = sparse::permute_symmetric(
-      sparse::grid3d(k, k, k), ordering::nested_dissection_grid3d(k, k, k));
-  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
-  const symbolic::SupernodePartition part = symbolic::amalgamate(
-      sym, symbolic::fundamental_supernodes(sym), 32, 16);
-  const mapping::SubcubeMapping map =
-      mapping::subtree_to_subcube(part, 1, mapping::factor_work_weights(part));
-  exec::TaskBackend::Config cfg;
-  cfg.nprocs = 1;
-  cfg.scheduler.workers = 1;
-  exec::TaskBackend backend(cfg);
+/// grid3d 20^3 in nested-dissection order, amalgamated 32,16.
+struct Problem {
+  sparse::SymmetricCsc a;
+  symbolic::SupernodePartition part;
+};
 
-  // The sequential code runs on the backend's one worker too: on a shared
-  // VM two threads can sit on cores of persistently different speed, and
-  // the comparison is about the algorithm, not about where it ran.
-  auto sequential = [&] {
-    backend.run([&](exec::Process&) {
-      const numeric::SupernodalFactor f =
-          numeric::multifrontal_cholesky(a, part);
-      ASSERT_EQ(f.num_supernodes(), part.num_supernodes());
-    });
-  };
-  auto distributed = [&] {
-    numeric::SupernodalFactor f;
-    parfact::parallel_multifrontal(backend, a, part, map, f);
-    ASSERT_EQ(f.num_supernodes(), part.num_supernodes());
-  };
-  // Warm up both paths (page faults, fiber stacks, kernel workspaces),
-  // then take the best of three, alternating the two so that drift in
-  // the host's speed hits both alike.  A shared host's speed can also
-  // swing by 1.5x for a second at a time, which can land between the two
-  // sides of one attempt, so a failing attempt is repeated twice; a real
-  // regression fails all three.
+Problem make_problem() {
+  const index_t k = 20;
+  Problem prob;
+  prob.a = sparse::permute_symmetric(
+      sparse::grid3d(k, k, k), ordering::nested_dissection_grid3d(k, k, k));
+  const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(prob.a);
+  prob.part = symbolic::amalgamate(sym, symbolic::fundamental_supernodes(sym),
+                                   32, 16);
+  return prob;
+}
+
+/// Whether `distributed` takes at most 1.3x the CPU time of `sequential`.
+/// Both are warmed up (page faults, fiber stacks, kernel workspaces), then
+/// timed best of three, alternating the two so that drift in the host's
+/// speed hits both alike.  A shared host's speed can also swing by 1.5x
+/// for a second at a time, which can land between the two sides of one
+/// attempt, so a failing attempt is repeated twice; a real regression
+/// fails all three.  `attempts` receives the readings in ms.
+bool within_thirty_percent(const std::function<void()>& sequential,
+                           const std::function<void()>& distributed,
+                           std::string& attempts) {
   cpu_seconds(sequential);
   cpu_seconds(distributed);
-  std::string attempts;
   bool within = false;
   for (int attempt = 0; attempt < 3 && !within; ++attempt) {
     double t_seq = 1e30;
@@ -93,12 +85,93 @@ TEST(ParfactPerfSmoke, OneRankFactorWithinThirtyPercentOfSequential) {
     within = t_par <= 1.3 * t_seq;
     attempts += " " + std::to_string(t_par * 1e3) + " vs " +
                 std::to_string(t_seq * 1e3) + ";";
-    RecordProperty("sequential_ms", std::to_string(t_seq * 1e3));
-    RecordProperty("parfact_p1_ms", std::to_string(t_par * 1e3));
+    ::testing::Test::RecordProperty("sequential_ms",
+                                    std::to_string(t_seq * 1e3));
+    ::testing::Test::RecordProperty("distributed_p1_ms",
+                                    std::to_string(t_par * 1e3));
   }
-  EXPECT_TRUE(within)
+  return within;
+}
+
+/// The one-rank, one-worker task backend both tests run on.  The
+/// sequential code runs on its worker too: on a shared VM two threads can
+/// sit on cores of persistently different speed, and the comparison is
+/// about the algorithm, not about where it ran.
+exec::TaskBackend::Config one_worker() {
+  exec::TaskBackend::Config cfg;
+  cfg.nprocs = 1;
+  cfg.scheduler.workers = 1;
+  return cfg;
+}
+
+TEST(ParfactPerfSmoke, OneRankFactorWithinThirtyPercentOfSequential) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "unoptimized build: factorization timings are meaningless";
+#endif
+#ifdef SPARTS_SANITIZE_BUILD
+  GTEST_SKIP() << "sanitizer build: factorization timings are meaningless";
+#else
+  const Problem prob = make_problem();
+  const mapping::SubcubeMapping map = mapping::subtree_to_subcube(
+      prob.part, 1, mapping::factor_work_weights(prob.part));
+  exec::TaskBackend backend(one_worker());
+  auto sequential = [&] {
+    backend.run([&](exec::Process&) {
+      const numeric::SupernodalFactor f =
+          numeric::multifrontal_cholesky(prob.a, prob.part);
+      ASSERT_EQ(f.num_supernodes(), prob.part.num_supernodes());
+    });
+  };
+  auto distributed = [&] {
+    numeric::SupernodalFactor f;
+    parfact::parallel_multifrontal(backend, prob.a, prob.part, map, f);
+    ASSERT_EQ(f.num_supernodes(), prob.part.num_supernodes());
+  };
+  std::string attempts;
+  EXPECT_TRUE(within_thirty_percent(sequential, distributed, attempts))
       << "p = 1 parallel_multifrontal against multifrontal_cholesky on the "
          "same partition, best CPU ms of three per attempt:"
+      << attempts;
+#endif
+}
+
+TEST(PartrisolvePerfSmoke, OneRankSolveWithinThirtyPercentOfSequential) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "unoptimized build: solve timings are meaningless";
+#endif
+#ifdef SPARTS_SANITIZE_BUILD
+  GTEST_SKIP() << "sanitizer build: solve timings are meaningless";
+#else
+  const Problem prob = make_problem();
+  const numeric::SupernodalFactor l =
+      numeric::multifrontal_cholesky(prob.a, prob.part);
+  const mapping::SubcubeMapping map =
+      mapping::subtree_to_subcube(prob.part, 1);
+  const partrisolve::DistributedTrisolver solver(l, map, {});
+  exec::TaskBackend backend(one_worker());
+  const index_t n = prob.a.n();
+  Rng rng(5);
+  const std::vector<real_t> b = sparse::random_rhs(n, 1, rng);
+  std::vector<real_t> x(b.size());
+  // One solve is about a millisecond here, so each reading is a batch of
+  // solves, long enough for the CPU clock to resolve.
+  const int batch = 20;
+  auto sequential = [&] {
+    for (int i = 0; i < batch; ++i) {
+      backend.run([&](exec::Process&) {
+        std::copy(b.begin(), b.end(), x.begin());
+        trisolve::full_solve(l, x.data(), 1);
+      });
+    }
+  };
+  auto distributed = [&] {
+    for (int i = 0; i < batch; ++i) solver.solve(backend, b, x, 1);
+  };
+  std::string attempts;
+  EXPECT_TRUE(within_thirty_percent(sequential, distributed, attempts))
+      << "p = 1 DistributedTrisolver forward + backward against "
+         "trisolve::full_solve on the same factor, best CPU ms of three "
+         "batches of " << batch << " solves per attempt:"
       << attempts;
 #endif
 }

@@ -21,6 +21,8 @@
 #include "solver/sparse_solver.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permutation.hpp"
+#include "symbolic/supernodes.hpp"
+#include "symbolic/symbolic.hpp"
 #include "trisolve/trisolve.hpp"
 #include "simpar/machine.hpp"
 
@@ -426,6 +428,87 @@ TEST(PlanReuse, FusedParallelSolveMatchesUnfused) {
   expect_same_graph(r1.forward_dag, r0.forward_dag);
   expect_same_graph(r1.backward_dag, r0.backward_dag);
   EXPECT_GT(r1.forward_dag.tasks, 0);
+}
+
+TEST(ParTrisolve, LocalSubtreesBitIdenticalToSequential) {
+  // Single-rank subtrees run trisolve's per-supernode kernels in their
+  // windows, so forward Y on their columns is the sequential Y bit for bit
+  // (and at p = 1 the whole solve is trisolve's), and every backend gives
+  // the same bytes.
+  for (const bool three_d : {true, false}) {
+    const index_t k = three_d ? 12 : 31;
+    const sparse::SymmetricCsc a = sparse::permute_symmetric(
+        three_d ? sparse::grid3d(k, k, k) : sparse::grid2d(k, k),
+        three_d ? ordering::nested_dissection_grid3d(k, k, k)
+                : ordering::nested_dissection_grid2d(k, k));
+    const index_t n = a.n();
+    const symbolic::SymbolicFactor sym = symbolic::symbolic_cholesky(a);
+    for (const bool amalgamated : {false, true}) {
+      symbolic::SupernodePartition part = symbolic::fundamental_supernodes(sym);
+      if (amalgamated) part = symbolic::amalgamate(sym, part, 32, 16);
+      const numeric::SupernodalFactor l =
+          numeric::multifrontal_cholesky(a, part);
+      for (const index_t m : {0, 1, 7}) {
+        Rng rng(41);
+        const std::vector<real_t> b = sparse::random_rhs(n, m, rng);
+        std::vector<real_t> y_seq = b;
+        trisolve::forward_solve(l, y_seq.data(), m);
+        std::vector<real_t> x_seq = b;
+        trisolve::full_solve(l, x_seq.data(), m);
+        for (const index_t p : {1, 2, 4, 8}) {
+          const mapping::SubcubeMapping map =
+              mapping::subtree_to_subcube(part, p);
+          std::vector<index_t> local_cols;
+          for (index_t s = 0; s < part.num_supernodes(); ++s) {
+            if (map.is_parallel(s)) continue;
+            for (index_t j = 0; j < part.width(s); ++j) {
+              local_cols.push_back(part.first_col[static_cast<std::size_t>(s)] +
+                                   j);
+            }
+          }
+          ASSERT_FALSE(local_cols.empty());
+          const auto df = DistributedFactor::pack_from(l, map, 8);
+          for (const bool strict : {false, true}) {
+            std::vector<real_t> y_sim;
+            std::vector<real_t> x_sim;
+            for (const Backend kind :
+                 {Backend::sim, Backend::threads, Backend::tasks}) {
+              SCOPED_TRACE(testing::Message()
+                           << (three_d ? "grid3d " : "grid2d ") << k
+                           << (amalgamated ? " amalgamated" : " fundamental")
+                           << " m=" << m << " p=" << p << " strict=" << strict
+                           << " backend=" << static_cast<int>(kind));
+              const auto comm = make_comm(kind, p);
+              const DistributedTrisolver solver(l, strict ? &df : nullptr, map,
+                                                Options{});
+              std::vector<real_t> y(b.size(), 0.0);
+              solver.forward(*comm, b, y, m);
+              std::vector<real_t> x(b.size(), 0.0);
+              solver.solve(*comm, b, x, m);
+              if (p == 1) {
+                EXPECT_TRUE(bitwise_equal(y, y_seq));
+                EXPECT_TRUE(bitwise_equal(x, x_seq));
+              }
+              for (index_t c = 0; c < m; ++c) {
+                for (const index_t j : local_cols) {
+                  const auto at = static_cast<std::size_t>(c * n + j);
+                  ASSERT_EQ(std::memcmp(&y[at], &y_seq[at], sizeof(y[at])), 0)
+                      << "row " << j << " column " << c;
+                }
+              }
+              if (kind == Backend::sim) {
+                y_sim = y;
+                x_sim = x;
+              } else {
+                EXPECT_TRUE(bitwise_equal(y, y_sim));
+                EXPECT_TRUE(bitwise_equal(x, x_sim));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(DenseParallelForward, MatchesSequential) {

@@ -61,6 +61,15 @@ TEST(SolverAnalysis, ReportsTheStoredFactor) {
             amalgamated.factor().factor_nnz());
   EXPECT_GT(amalgamated.info().factor_nnz, sym.nnz());
   EXPECT_GT(amalgamated.info().factor_flops, sym.factorization_flops());
+
+  // The solve flop figure is what one solve through the stored factor
+  // counts, explicit zeros included.
+  for (const solver::SparseSolver* s : {&fundamental, &amalgamated}) {
+    std::vector<real_t> b(static_cast<std::size_t>(a.n()), 1.0);
+    trisolve::SolveStats stats;
+    trisolve::full_solve(s->factor(), b.data(), 1, &stats);
+    EXPECT_EQ(s->info().solve_flops_per_rhs, stats.flops);
+  }
 }
 
 TEST(Solver, AmalgamationOptionStillSolves) {
